@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-short test-race chaos bench bench-serving bench-obs bench-peer bench-dir bench-loadgen bench-overload bench-prefetch loadgen-smoke obs-smoke overload-smoke prefetch-smoke experiments experiments-quick fuzz fuzz-short clean
+.PHONY: all build vet lint test test-short test-race chaos bench bench-serving bench-obs bench-peer bench-dir bench-loadgen bench-overload bench-prefetch bench-e2e loadgen-smoke obs-smoke overload-smoke prefetch-smoke experiments experiments-quick fuzz fuzz-short clean
 
 all: build lint test test-race chaos fuzz-short obs-smoke overload-smoke loadgen-smoke prefetch-smoke
 
@@ -144,6 +144,17 @@ bench-prefetch:
 # exactly conserved): gates `make all` so the planner cannot rot.
 prefetch-smoke:
 	$(GO) run ./cmd/icache-loadgen -prefetch-smoke
+
+# End-to-end benchmark (perfbench/, declared in BENCHMARK.json): boots the
+# live stack in process over loopback against a backend that charges the
+# storage cost model in wall time, and prints one JSON line of end-to-end
+# metrics per workload (epoch time, stall fraction, hit ratio, throughput,
+# batch latency quantiles, setup time, live heap). About a minute per
+# workload; build artifacts stay under .bench_build/.
+bench-e2e:
+	@for w in train-1node train-2node-plan hotset-serve; do \
+		bash perfbench/run.sh --workload $$w --trace 0 || exit 1; \
+	done
 
 # Observability overhead benchmark (off vs histograms-armed vs every
 # request traced vs fully armed with journal+timeline, on the 8-client

@@ -95,6 +95,14 @@ func NewDirServer(dir *Directory) *DirServer {
 // (net.ErrClosed after a clean shutdown).
 func (s *DirServer) Serve(ln net.Listener) error {
 	s.connMu.Lock()
+	select {
+	case <-s.closed:
+		// Closed before serving began: nothing will close ln for us.
+		s.connMu.Unlock()
+		ln.Close()
+		return net.ErrClosed
+	default:
+	}
 	s.ln = ln
 	s.connMu.Unlock()
 	for {
@@ -107,10 +115,22 @@ func (s *DirServer) Serve(ln net.Listener) error {
 				return err
 			}
 		}
+		// Register under connMu, checking closed there: Close sweeps
+		// connSet under the same lock after closing s.closed, so a
+		// connection accepted as Close runs is either swept or refused
+		// here — never registered after the sweep, where Close would wait
+		// on it until the client hung up.
 		s.connMu.Lock()
+		select {
+		case <-s.closed:
+			s.connMu.Unlock()
+			conn.Close()
+			continue
+		default:
+		}
 		s.connSet[conn] = struct{}{}
-		s.connMu.Unlock()
 		s.conns.Add(1)
+		s.connMu.Unlock()
 		go func() {
 			defer func() {
 				s.connMu.Lock()
@@ -144,14 +164,15 @@ func (s *DirServer) Addr() net.Addr {
 
 // Close stops the server and closes live connections.
 func (s *DirServer) Close() error {
+	s.connMu.Lock()
 	select {
 	case <-s.closed:
+		s.connMu.Unlock()
 		return nil
 	default:
 	}
 	close(s.closed)
 	var err error
-	s.connMu.Lock()
 	if s.ln != nil {
 		err = s.ln.Close()
 	}

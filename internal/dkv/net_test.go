@@ -1,6 +1,7 @@
 package dkv
 
 import (
+	"errors"
 	"io"
 	"net"
 	"sync"
@@ -195,5 +196,72 @@ func TestDirClientRidesThroughMidFrameCloses(t *testing.T) {
 	}
 	if claims, _ := dir.Stats(); claims != 1 {
 		t.Fatalf("directory recorded %d claims; retries of an idempotent claim must not multiply state", claims)
+	}
+}
+
+// lateConnListener hands Serve one live connection only once Close has
+// begun: its Close (which DirServer.Close calls while sweeping
+// connections) releases the connection to the pending Accept, the exact
+// interleaving of a client connecting as the server shuts down.
+type lateConnListener struct {
+	late       net.Conn
+	conns      chan net.Conn
+	accepting  chan struct{}
+	acceptOnce sync.Once
+	closeOnce  sync.Once
+}
+
+func newLateConnListener(late net.Conn) *lateConnListener {
+	return &lateConnListener{late: late, conns: make(chan net.Conn, 1), accepting: make(chan struct{})}
+}
+
+func (l *lateConnListener) Accept() (net.Conn, error) {
+	l.acceptOnce.Do(func() { close(l.accepting) })
+	c, ok := <-l.conns
+	if !ok {
+		return nil, net.ErrClosed
+	}
+	return c, nil
+}
+
+func (l *lateConnListener) Close() error {
+	l.closeOnce.Do(func() {
+		l.conns <- l.late
+		close(l.conns)
+	})
+	return nil
+}
+
+func (l *lateConnListener) Addr() net.Addr { return l.late.LocalAddr() }
+
+// TestDirServerCloseRefusesLateConnection pins the Serve/Close accept race:
+// a connection Accept returns after Close has swept the live set must be
+// closed, not served, so Close returns without waiting for that client to
+// hang up.
+func TestDirServerCloseRefusesLateConnection(t *testing.T) {
+	srv := NewDirServer(NewDirectory())
+	srvEnd, cliEnd := net.Pipe()
+	defer cliEnd.Close() // the client never hangs up on its own
+	ln := newLateConnListener(srvEnd)
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ln) }()
+	<-ln.accepting
+
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(time.Second):
+		t.Fatal("Close blocked on a connection accepted after its sweep")
+	}
+	if err := <-errc; err != net.ErrClosed {
+		t.Fatalf("Serve returned %v, want net.ErrClosed", err)
+	}
+	cliEnd.SetReadDeadline(time.Now().Add(time.Second))
+	if _, err := cliEnd.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("late connection read = %v, want io.EOF: it was served, not closed", err)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+
+	"icache/internal/obs"
 )
 
 // SaveCheckpoint writes the cache's warm state (see icache.Checkpoint).
@@ -32,7 +34,7 @@ func (s *Server) LoadCheckpoint(r io.Reader, rehydrate bool) error {
 		return nil
 	}
 	for _, id := range residents {
-		payload, err := s.source.Fetch(id)
+		payload, err := s.fetchBackend(id, obs.TraceCtx{})
 		if err != nil {
 			return fmt.Errorf("rpc: rehydrate sample %d: %w", id, err)
 		}

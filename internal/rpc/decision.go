@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"sync/atomic"
+	"time"
 
 	"icache/internal/metrics"
 	"icache/internal/obs"
@@ -120,6 +121,10 @@ func (s *Server) TimelinePoint() map[string]float64 {
 	case overload.Shed.String():
 		gateState = 2
 	}
+	// Cumulative time backend reads waited for a budget slot (0 while
+	// stage histograms are off); its rate is the mean number of reads
+	// queued.
+	queueWait := time.Duration(s.obs.backendQueueWait.Snapshot().Sum)
 	return map[string]float64{
 		"hits":                    float64(st.Hits),
 		"misses":                  float64(st.Misses),
@@ -155,5 +160,7 @@ func (s *Server) TimelinePoint() map[string]float64 {
 		"plan_completed":          float64(ps.Completed),
 		"plan_remaining":          float64(ps.Remaining),
 		"demand_fetches":          float64(s.DemandFetches()),
+		"backend_inflight":        float64(s.BackendInflight()),
+		"backend_queue_wait_s":    queueWait.Seconds(),
 	}
 }

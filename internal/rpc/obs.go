@@ -60,8 +60,12 @@ const (
 	// StageSingleflightWait is time spent waiting on another goroutine's
 	// in-flight fetch of the same sample.
 	StageSingleflightWait = "singleflight_wait"
-	// StageBackendFetch is a backend-storage read on the miss path.
+	// StageBackendFetch is a backend-storage read, timed from the moment it
+	// holds a slot of the server's read budget.
 	StageBackendFetch = "backend_fetch"
+	// StageBackendQueueWait is time a backend read waited for a slot of the
+	// server's read budget (see backendReadBudget).
+	StageBackendQueueWait = "backend_queue_wait"
 	// StagePeerRPC is a remote peer-cache read, measured at the sender.
 	StagePeerRPC = "peer_rpc"
 	// StagePeerRPCBatch is one scatter-gather opPeerGetBatch round trip
@@ -106,6 +110,7 @@ type serverObs struct {
 	backend, peerRPC, dirLookup, prefetchWt *obs.Histogram
 	peerBatch, dirBatch                     *obs.Histogram
 	admissionWait, deadlineRem              *obs.Histogram
+	backendQueueWait                        *obs.Histogram
 
 	tracer *trace.Recorder
 
@@ -135,6 +140,7 @@ func (s *Server) EnableObs(reg *obs.Registry, tracer *trace.Recorder) {
 	s.obs.localHit = reg.Hist(StageLocalHit)
 	s.obs.sfWait = reg.Hist(StageSingleflightWait)
 	s.obs.backend = reg.Hist(StageBackendFetch)
+	s.obs.backendQueueWait = reg.Hist(StageBackendQueueWait)
 	s.obs.peerRPC = reg.Hist(StagePeerRPC)
 	s.obs.peerBatch = reg.Hist(StagePeerRPCBatch)
 	s.obs.dirLookup = reg.Hist(StageDirLookup)

@@ -57,9 +57,9 @@ const opPeerGet = 6
 // -peer-inflight flags). SetPeerConfig installs it before Serve.
 type PeerConfig struct {
 	// Batch caps how many of a mini-batch's remote misses ride one
-	// opPeerGetBatch RPC. 0 disables batching entirely: the miss path
-	// falls back to the serial per-sample resolvePayload flow (the
-	// "before" mode of the bench-peer comparison).
+	// opPeerGetBatch RPC. 0 disables batching entirely: each miss takes
+	// the per-sample resolvePayload flow, fanned out as on a lone server
+	// (the "before" mode of the bench-peer comparison).
 	Batch int
 	// Inflight bounds in-flight frames per multiplexed peer connection
 	// (<= 0 selects the client default).
@@ -575,23 +575,8 @@ func (s *Server) resolveMissBatch(ids []dataset.SampleID, calls map[dataset.Samp
 	// Gather the remainder from backend storage, in deterministic order.
 	local = append(local, fallback...)
 	sort.Slice(local, func(i, j int) bool { return local[i] < local[j] })
-	measure := s.obs.histsOn() || s.obs.tracing(ctx)
 	for _, id := range local {
-		var tFetch time.Time
-		if measure || s.plan != nil {
-			tFetch = time.Now()
-		}
-		p, err := s.source.Fetch(id)
-		if !tFetch.IsZero() {
-			dur := time.Since(tFetch)
-			if measure {
-				s.obs.backend.Record(dur)
-				s.span(trace.KindBackend, id, 0, ctx, dur)
-			}
-			if s.plan != nil && err == nil {
-				s.observeBackend(len(p), dur)
-			}
-		}
+		p, err := s.fetchBackend(id, ctx)
 		if err != nil {
 			finish(id, nil, err)
 			continue

@@ -100,6 +100,7 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 	p.Counter("icache_peer_batch_rpcs_total", "scatter-gather peer batch round trips issued", float64(sv.PeerBatchRPCs))
 	p.Counter("icache_peer_batch_samples_total", "samples carried by batched peer RPCs", float64(sv.PeerBatchSamples))
 	p.Gauge("icache_mux_inflight", "multiplexed request frames currently being served", float64(sv.MuxInflight))
+	p.Gauge("icache_backend_inflight", "backend reads holding a slot of the server's read budget", float64(s.BackendInflight()))
 	p.Counter("icache_buffer_pool_discards_total", "pooled-buffer returns dropped for exceeding the retained-capacity cap", float64(sv.BufferDiscards))
 	p.Counter("icache_vec_pool_gets_total", "pooled response-vector checkouts on the zero-copy path", float64(sv.VecGets))
 	p.Counter("icache_vec_pool_allocs_total", "vector checkouts that had to allocate (pool miss)", float64(sv.VecAllocs))

@@ -2,8 +2,10 @@ package rpc
 
 import (
 	"errors"
+	"io"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -204,11 +206,17 @@ func TestOutOfRangeRequestAnsweredNotFatal(t *testing.T) {
 	}
 }
 
+// TestBackendFailureSurfacesAsRPCError arms one backend failure and expects
+// the next GetBatch to report it. The server runs without a prefetch pool:
+// a pool worker's read could otherwise consume the armed failure first.
 func TestBackendFailureSurfacesAsRPCError(t *testing.T) {
-	_, addr, src := startServer(t)
-	c := dial(t, addr)
+	src, err := storage.NewDataSource(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := dial(t, serveOn(t, newUnstartedServer(t, src, 0)))
 	src.FailNext(1, errors.New("injected disk failure"))
-	_, err := c.GetBatch([]dataset.SampleID{1500})
+	_, err = c.GetBatch([]dataset.SampleID{1500})
 	if err == nil || !strings.Contains(err.Error(), "injected disk failure") {
 		t.Fatalf("err = %v, want injected failure", err)
 	}
@@ -351,5 +359,72 @@ func TestFrameRoundTripProperty(t *testing.T) {
 		if got[i].ID != samples[i].ID || string(got[i].Payload) != string(samples[i].Payload) {
 			t.Fatalf("sample %d mismatched after round trip", i)
 		}
+	}
+}
+
+// lateConnListener hands Serve one live connection only once Close has
+// begun: its Close (which Server.Close calls while sweeping connections)
+// releases the connection to the pending Accept, the exact interleaving of
+// a client connecting as the server shuts down.
+type lateConnListener struct {
+	late       net.Conn
+	conns      chan net.Conn
+	accepting  chan struct{}
+	acceptOnce sync.Once
+	closeOnce  sync.Once
+}
+
+func newLateConnListener(late net.Conn) *lateConnListener {
+	return &lateConnListener{late: late, conns: make(chan net.Conn, 1), accepting: make(chan struct{})}
+}
+
+func (l *lateConnListener) Accept() (net.Conn, error) {
+	l.acceptOnce.Do(func() { close(l.accepting) })
+	c, ok := <-l.conns
+	if !ok {
+		return nil, net.ErrClosed
+	}
+	return c, nil
+}
+
+func (l *lateConnListener) Close() error {
+	l.closeOnce.Do(func() {
+		l.conns <- l.late
+		close(l.conns)
+	})
+	return nil
+}
+
+func (l *lateConnListener) Addr() net.Addr { return l.late.LocalAddr() }
+
+// TestServerCloseRefusesLateConnection pins the Serve/Close accept race: a
+// connection Accept returns after Close has swept the live set must be
+// closed, not served, so Close returns without waiting for that client to
+// hang up.
+func TestServerCloseRefusesLateConnection(t *testing.T) {
+	srv := newUnstartedServer(t, nil, 0)
+	srvEnd, cliEnd := net.Pipe()
+	defer cliEnd.Close() // the client never hangs up on its own
+	ln := newLateConnListener(srvEnd)
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ln) }()
+	<-ln.accepting
+
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(time.Second):
+		t.Fatal("Close blocked on a connection accepted after its sweep")
+	}
+	if err := <-errc; !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("Serve returned %v, want net.ErrClosed", err)
+	}
+	cliEnd.SetReadDeadline(time.Now().Add(time.Second))
+	if _, err := cliEnd.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("late connection read = %v, want io.EOF: it was served, not closed", err)
 	}
 }

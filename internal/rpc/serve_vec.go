@@ -209,7 +209,7 @@ func (s *Server) getBatchPinned(ids []dataset.SampleID, ctx obs.TraceCtx, sc *se
 	if dist := s.dist; dist != nil && dist.peerCfg.Batch > 0 {
 		samples, err = s.collectBatched(missIDs, ctx, dl)
 	} else {
-		samples, err = s.collectSerial(missIDs, ctx, histsOn, dl)
+		samples, err = s.collectLone(missIDs, ctx, histsOn, dl)
 	}
 	if err != nil {
 		return err

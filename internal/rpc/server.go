@@ -58,6 +58,10 @@ type ByteSource interface {
 //	  - connMu guards the listener and the live-connection set; it nests
 //	    with nothing.
 //
+// The backend read budget (readSlots) is a semaphore, not a lock: a slot
+// is held across exactly one ByteSource.Fetch and nothing is acquired
+// while holding it (see fetchBackend).
+//
 // Slow work — backend fetches and remote peer reads — happens outside all
 // locks, coalesced per sample ID through a singleflight group so K
 // concurrent misses on one sample issue exactly one backend read. The
@@ -96,6 +100,17 @@ type Server struct {
 	backendFetchBytes int64
 	backendFetchNanos int64
 	demandFetches     int64
+	// readSlots is the per-server backend read budget: every
+	// ByteSource.Fetch holds one of its backendReadBudget slots (see
+	// fetchBackend). backendInflight gauges the held slots.
+	readSlots       chan struct{}
+	backendInflight atomic.Int64
+	// missJobs hands lone-server misses to idle miss helpers; missHelperN
+	// counts the helpers started (see dispatchMiss), and Close waits on
+	// missHelpers for them to exit.
+	missJobs    chan missJob
+	missHelperN atomic.Int64
+	missHelpers sync.WaitGroup
 	// muxInflight gauges mux requests currently in async dispatch (atomic).
 	muxInflight int64
 	// legacyProto pins the server to pre-PR-5 wire behavior (test hook;
@@ -146,13 +161,15 @@ type Server struct {
 // prefetch-worker knob).
 func NewServer(cacheSrv *icache.Server, source ByteSource) *Server {
 	s := &Server{
-		cache:    cacheSrv,
-		source:   source,
-		start:    time.Now(),
-		payloads: newPayloadStore(),
-		connSet:  make(map[net.Conn]struct{}),
-		closed:   make(chan struct{}),
-		Logf:     log.Printf,
+		cache:     cacheSrv,
+		source:    source,
+		start:     time.Now(),
+		payloads:  newPayloadStore(),
+		readSlots: make(chan struct{}, backendReadBudget),
+		missJobs:  make(chan missJob),
+		connSet:   make(map[net.Conn]struct{}),
+		closed:    make(chan struct{}),
+		Logf:      log.Printf,
 	}
 	cacheSrv.SetEvictObserver(func(id dataset.SampleID) {
 		// Runs under policyMu (all cache mutations happen under it).
@@ -177,6 +194,14 @@ func (s *Server) now() simclock.Time { return simclock.Time(time.Since(s.start))
 // a non-nil error (net.ErrClosed after a clean shutdown).
 func (s *Server) Serve(ln net.Listener) error {
 	s.connMu.Lock()
+	select {
+	case <-s.closed:
+		// Closed before serving began: nothing will close ln for us.
+		s.connMu.Unlock()
+		ln.Close()
+		return net.ErrClosed
+	default:
+	}
 	s.ln = ln
 	s.connMu.Unlock()
 	for {
@@ -189,10 +214,22 @@ func (s *Server) Serve(ln net.Listener) error {
 				return err
 			}
 		}
+		// Register under connMu, checking closed there: Close sweeps
+		// connSet under the same lock after closing s.closed, so a
+		// connection accepted as Close runs is either swept or refused
+		// here — never registered after the sweep, where Close would wait
+		// on it until the client hung up.
 		s.connMu.Lock()
+		select {
+		case <-s.closed:
+			s.connMu.Unlock()
+			conn.Close()
+			continue
+		default:
+		}
 		s.connSet[conn] = struct{}{}
-		s.connMu.Unlock()
 		s.conns.Add(1)
+		s.connMu.Unlock()
 		go func() {
 			defer func() {
 				s.connMu.Lock()
@@ -226,14 +263,15 @@ func (s *Server) Addr() net.Addr {
 
 // Close stops accepting and waits for in-flight connections to finish.
 func (s *Server) Close() error {
+	s.connMu.Lock()
 	select {
 	case <-s.closed:
+		s.connMu.Unlock()
 		return nil
 	default:
 	}
 	close(s.closed)
 	var err error
-	s.connMu.Lock()
 	if s.ln != nil {
 		err = s.ln.Close()
 	}
@@ -242,6 +280,7 @@ func (s *Server) Close() error {
 	}
 	s.connMu.Unlock()
 	s.conns.Wait()
+	s.missHelpers.Wait()
 	// The planner feeds the prefetch pool; stop it first so no planned
 	// enqueue races the pool teardown.
 	if s.plan != nil {
@@ -818,7 +857,7 @@ func (s *Server) getBatch(ids []dataset.SampleID, ctx obs.TraceCtx, dl time.Time
 	if dist := s.dist; dist != nil && dist.peerCfg.Batch > 0 {
 		return s.collectBatched(served, ctx, dl)
 	}
-	return s.collectSerial(served, ctx, histsOn, dl)
+	return s.collectLone(served, ctx, histsOn, dl)
 }
 
 // deadlineExpired reports whether a request's budget has run out, counting
@@ -838,31 +877,176 @@ func (s *Server) deadlineExpired(dl time.Time) bool {
 	return true
 }
 
-// collectSerial resolves the served ids one at a time — the pre-batching
-// data plane, still used by lone servers and when the peer batch size is
-// configured to 0 (the serial escape hatch the before/after benchmark
-// compares against).
-func (s *Server) collectSerial(served []dataset.SampleID, ctx obs.TraceCtx, histsOn bool, dl time.Time) ([]Sample, error) {
-	out := make([]Sample, 0, len(served))
-	for _, id := range served {
+// collectLone resolves a batch on a lone server (and on a distributed one
+// whose peer batch size is 0): local hits straight from the payload store,
+// then every distinct miss through resolvePayload — singleflight
+// coalescing, plan promotion, admission and demand counting exactly as for
+// a single sample. The request goroutine hands each miss but the last to
+// the server's miss helpers (dispatchMiss; concurrent batches take turns
+// on them) and resolves the last itself. The fan-out needs no bound of
+// its own: every backend read still waits for a slot of the server-wide
+// read budget (fetchBackend). A repeated id costs one resolution. When a
+// miss fails, no further misses start and the error of the earliest
+// failing position is returned.
+func (s *Server) collectLone(served []dataset.SampleID, ctx obs.TraceCtx, histsOn bool, dl time.Time) ([]Sample, error) {
+	out := make([]Sample, len(served))
+	var f *missFanout // taken from the pool at the first miss
+	for i, id := range served {
 		var tHit time.Time
 		if histsOn {
 			tHit = time.Now()
 		}
-		payload, ok := s.payloads.get(id)
-		if ok {
+		if payload, ok := s.payloads.get(id); ok {
 			s.obs.localHit.Since(tHit)
 			s.prefetch.noteHit(id)
-		} else {
-			var err error
-			payload, err = s.resolvePayload(id, ctx, dl)
-			if err != nil {
-				return nil, fmt.Errorf("rpc: backend fetch of sample %d: %w", id, err)
-			}
+			out[i] = Sample{ID: id, Payload: payload}
+			continue
 		}
-		out = append(out, Sample{ID: id, Payload: payload})
+		out[i].ID = id
+		if f == nil {
+			f = missFanoutPool.Get().(*missFanout)
+		}
+		if j, dup := f.first[id]; dup {
+			f.dups = append(f.dups, [2]int{i, j})
+			continue
+		}
+		f.first[id] = i
+		f.misses = append(f.misses, i)
+	}
+	if f == nil {
+		return out, nil
+	}
+	defer f.release()
+	f.s, f.ctx, f.dl, f.out = s, ctx, dl, out
+
+	last := len(f.misses) - 1
+	for k := 0; k < last && !f.stopped(); k++ {
+		f.wg.Add(1)
+		s.dispatchMiss(missJob{f: f, k: k})
+	}
+	if !f.stopped() {
+		f.resolve(last)
+	}
+	f.wg.Wait()
+	if f.err != nil {
+		return nil, fmt.Errorf("rpc: backend fetch of sample %d: %w", out[f.misses[f.errK]].ID, f.err)
+	}
+	for _, d := range f.dups {
+		out[d[0]].Payload = out[d[1]].Payload
 	}
 	return out, nil
+}
+
+// missFanout is one lone-server batch's miss resolution, shared by the
+// request goroutine and the miss helpers it hands misses to. Pooled, so a
+// miss batch allocates nothing beyond its response.
+type missFanout struct {
+	s   *Server
+	ctx obs.TraceCtx
+	dl  time.Time
+	out []Sample
+	// first maps each distinct missed id to its first position in out;
+	// misses lists those positions in request order, and dups pairs every
+	// later repeat with its first position.
+	first  map[dataset.SampleID]int
+	misses []int
+	dups   [][2]int
+	wg     sync.WaitGroup
+
+	failed atomic.Bool // a miss failed: start no more
+
+	mu   sync.Mutex
+	err  error // the earliest failing miss's error
+	errK int   // its index in misses
+}
+
+var missFanoutPool = sync.Pool{New: func() any {
+	return &missFanout{first: make(map[dataset.SampleID]int)}
+}}
+
+// release resets f and returns it to the pool once every miss is done.
+// A fan-out grown by an unusually large batch is left to the collector.
+func (f *missFanout) release() {
+	if cap(f.misses) > 1024 {
+		return
+	}
+	clear(f.first)
+	*f = missFanout{first: f.first, misses: f.misses[:0], dups: f.dups[:0]}
+	missFanoutPool.Put(f)
+}
+
+// missJob hands miss k of a batch to a miss helper.
+type missJob struct {
+	f *missFanout
+	k int
+}
+
+func (f *missFanout) stopped() bool { return f.failed.Load() }
+
+// resolve fills miss k's payload, or records its error.
+func (f *missFanout) resolve(k int) {
+	if f.stopped() {
+		return
+	}
+	i := f.misses[k]
+	payload, err := f.s.resolvePayload(f.out[i].ID, f.ctx, f.dl)
+	if err != nil {
+		f.mu.Lock()
+		if f.err == nil || k < f.errK {
+			f.err, f.errK = err, k
+		}
+		f.mu.Unlock()
+		f.failed.Store(true)
+		return
+	}
+	f.out[i].Payload = payload
+}
+
+// maxMissHelpers caps the lone-server miss helpers at four per backend
+// read slot. A helper spends part of each miss outside its read —
+// singleflight, admission under policyMu, the store insert — and with one
+// or two per slot the slots sat idle under load: BenchmarkServeConcurrent
+// at 8 clients gave ~60k, ~71k and ~90k samples/s at one, two and four
+// per slot, and four matched a goroutine per miss.
+const maxMissHelpers = 4 * backendReadBudget
+
+// dispatchMiss hands j to an idle miss helper, starting a new one while
+// fewer than maxMissHelpers exist, and otherwise waits for one to be free.
+// Helpers live until the server closes: reusing them, rather than starting
+// goroutines per batch, keeps a miss batch's allocations flat in its size.
+func (s *Server) dispatchMiss(j missJob) {
+	select {
+	case s.missJobs <- j:
+		return
+	default:
+	}
+	if s.missHelperN.Add(1) <= maxMissHelpers {
+		s.missHelpers.Add(1)
+		go s.missHelper(j)
+		return
+	}
+	s.missHelperN.Add(-1)
+	select {
+	case s.missJobs <- j:
+	case <-s.closed: // idle helpers are exiting
+		j.f.resolve(j.k)
+		j.f.wg.Done()
+	}
+}
+
+// missHelper resolves j, then every miss handed to it until the server
+// closes.
+func (s *Server) missHelper(j missJob) {
+	defer s.missHelpers.Done()
+	for {
+		j.f.resolve(j.k)
+		j.f.wg.Done()
+		select {
+		case j = <-s.missJobs:
+		case <-s.closed:
+			return
+		}
+	}
 }
 
 // collectBatched is the scatter-gather data plane: local hits are served
@@ -998,22 +1182,7 @@ func (s *Server) resolvePayloadProv(id dataset.SampleID, ctx obs.TraceCtx, dl ti
 			s.policyMu.Unlock()
 			return remote, nil
 		}
-		var tFetch time.Time
-		measure := s.obs.histsOn() || s.obs.tracing(ctx)
-		if measure || s.plan != nil {
-			tFetch = time.Now()
-		}
-		p, err := s.source.Fetch(id)
-		if !tFetch.IsZero() {
-			dur := time.Since(tFetch)
-			if measure {
-				s.obs.backend.Record(dur)
-				s.span(trace.KindBackend, id, 0, ctx, dur)
-			}
-			if s.plan != nil && err == nil {
-				s.observeBackend(len(p), dur)
-			}
-		}
+		p, err := s.fetchBackend(id, ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -1031,6 +1200,55 @@ func (s *Server) resolvePayloadProv(id dataset.SampleID, ctx obs.TraceCtx, dl ti
 	}
 	return payload, err
 }
+
+// backendReadBudget is the per-server cap on concurrent ByteSource reads,
+// shared by demand misses, the prefetch pool, plan entries, the
+// distributed backend tail and checkpoint rehydration. Chosen from
+// 8/16/32/64/128 on the single-node training benchmark over a 16-slot
+// OrangeFS model: hashing samples to storage servers leaves some servers
+// idle at 16 in flight, and past 32 the extra reads mostly queue inside
+// the backend (see DESIGN.md, "Miss path and the backend read budget").
+const backendReadBudget = 32
+
+// fetchBackend is the one door to the ByteSource. It waits for a slot of
+// the read budget first — FIFO, whatever the caller — and only then starts
+// the backend_fetch clock, so the stage histogram, the backend span and
+// the planner's throughput calibration see service time, never queueing
+// time; the wait itself is the backend_queue_wait stage.
+func (s *Server) fetchBackend(id dataset.SampleID, ctx obs.TraceCtx) ([]byte, error) {
+	measure := s.obs.histsOn() || s.obs.tracing(ctx)
+	var t0 time.Time
+	if measure {
+		t0 = time.Now()
+	}
+	s.readSlots <- struct{}{}
+	s.backendInflight.Add(1)
+	var tFetch time.Time
+	if measure || s.plan != nil {
+		tFetch = time.Now()
+	}
+	if measure {
+		s.obs.backendQueueWait.Record(tFetch.Sub(t0))
+	}
+	p, err := s.source.Fetch(id)
+	s.backendInflight.Add(-1)
+	<-s.readSlots
+	if !tFetch.IsZero() {
+		dur := time.Since(tFetch)
+		if measure {
+			s.obs.backend.Record(dur)
+			s.span(trace.KindBackend, id, 0, ctx, dur)
+		}
+		if s.plan != nil && err == nil {
+			s.observeBackend(len(p), dur)
+		}
+	}
+	return p, err
+}
+
+// BackendInflight reports the backend reads currently holding a slot of
+// the server's read budget (gauge).
+func (s *Server) BackendInflight() int64 { return s.backendInflight.Load() }
 
 // admit stores a freshly fetched payload if the policy engine kept the
 // sample resident and (in distributed mode) the directory claim succeeds.
