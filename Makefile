@@ -58,7 +58,8 @@ bench-serving:
 
 # Observability smoke: the exposition goldens (Prometheus text + pinned
 # JSON bytes + the byte-pinned /debug/timeline document), the
-# histogram/quantile property tests, the trace-envelope rejection tables,
+# histogram/quantile property tests, the trace-envelope rejection tables
+# (directory side),
 # the two-node cross-node hop-chain round trips (including the chaos
 # variant with injected peer faults), the decision-ledger conservation
 # identities, the journal/timeline concurrency suite, and the icache-top
@@ -72,10 +73,8 @@ obs-smoke:
 
 # Batched remote data plane benchmark (the PR 5 scatter-gather work): two
 # cache nodes over loopback, eight miss-heavy clients hammering a hot set
-# the OTHER node owns. Compares serial (per-sample directory lookup +
-# PeerGet round trip) against batched (one directory multi-lookup + one
-# opPeerGetBatch per mini-batch, pipelined over the multiplexed peer
-# connection). The batched samples/sec should beat serial by >= 3x.
+# the OTHER node owns. Each mini-batch costs one directory multi-lookup and
+# one opPeerGetBatch, pipelined over the peer connection.
 bench-peer:
 	$(GO) test -run NONE -bench 'PeerHotSet' -benchmem -count=5 ./internal/rpc/ > /tmp/bench_peer.txt
 	$(GO) run ./cmd/icache-benchjson -label after -update BENCH_peer.json < /tmp/bench_peer.txt
@@ -94,9 +93,9 @@ bench-dir:
 # then compared against the archived PR 5 baseline — the target FAILS when
 # samples/sec falls more than 10% below the baseline or allocs/op rises,
 # so the zero-copy win is a standing regression gate, not a one-off
-# measurement.
+# measurement. -cpu 1 for the same reason as bench-overload.
 bench-loadgen:
-	$(GO) test -run NONE -bench 'Loadgen$$' -benchmem -count=3 ./internal/loadgen/ > /tmp/bench_loadgen.txt
+	$(GO) test -run NONE -bench 'Loadgen$$' -benchmem -count=3 -cpu 1 ./internal/loadgen/ > /tmp/bench_loadgen.txt
 	$(GO) run ./cmd/icache-benchjson -label after -update BENCH_loadgen.json < /tmp/bench_loadgen.txt
 	$(GO) run ./cmd/icache-benchjson -check BENCH_loadgen.json
 
@@ -107,9 +106,11 @@ bench-loadgen:
 # archived baseline, so the target FAILS when goodput under overload falls
 # more than 10% or allocs/op rises. The benchmark itself additionally
 # fails on queue collapse (storm goodput under 80% of the measured
-# capacity knee) or on a request-conservation leak.
+# capacity knee) or on a request-conservation leak. Runs at -cpu 1 because
+# the archive was recorded at GOMAXPROCS=1 and -check compares benchmarks by
+# name (a multi-CPU run suffixes every name with -N).
 bench-overload:
-	$(GO) test -run NONE -bench 'LoadgenOverload' -benchmem -count=3 ./internal/loadgen/ > /tmp/bench_overload.txt
+	$(GO) test -run NONE -bench 'LoadgenOverload' -benchmem -count=3 -cpu 1 ./internal/loadgen/ > /tmp/bench_overload.txt
 	$(GO) run ./cmd/icache-benchjson -label after -update BENCH_overload.json < /tmp/bench_overload.txt
 	$(GO) run ./cmd/icache-benchjson -check BENCH_overload.json
 
@@ -132,9 +133,10 @@ loadgen-smoke:
 # prefetch in-time ratio reaches 0.9. The clairvoyant run's samples/sec,
 # cold-miss count and in-time ratio are archived as JSON and compared
 # against the archived baseline (-check fails the build on a >10%
-# throughput regression or an allocs/op rise).
+# throughput regression or an allocs/op rise). -cpu 1 for the same reason
+# as bench-overload.
 bench-prefetch:
-	$(GO) test -run NONE -bench 'PrefetchEpochs' -benchmem -count=3 ./internal/loadgen/ > /tmp/bench_prefetch.txt
+	$(GO) test -run NONE -bench 'PrefetchEpochs' -benchmem -count=3 -cpu 1 ./internal/loadgen/ > /tmp/bench_prefetch.txt
 	$(GO) run ./cmd/icache-benchjson -label after -update BENCH_prefetch.json < /tmp/bench_prefetch.txt
 	$(GO) run ./cmd/icache-benchjson -check BENCH_prefetch.json
 
@@ -180,8 +182,9 @@ fuzz:
 
 # Seed-corpus-only fuzz pass: runs every fuzz target's checked-in seeds as
 # plain tests (no exploration), fast enough to gate `make all` on. Covers
-# the cache-service dispatcher (including the batched-peer-read, mux
-# envelope, and stray directory-replica opcodes), the directory dispatcher
+# the cache service's frame entry (the retired opcodes 6/7/9/10, truncated
+# headers, bad budgets and hops, and stray directory-replica opcodes), the
+# directory dispatcher
 # (including the membership, multi-lookup, ring-view-exchange and shard
 # hand-off opcodes), and the wire framing.
 fuzz-short:

@@ -103,8 +103,7 @@ func main() {
 		leaseTTL  = flag.Duration("lease-ttl", 10*time.Second, "distributed mode: membership lease duration in the directory")
 		beatEvery = flag.Duration("heartbeat-interval", 0, "distributed mode: lease renewal period (default lease-ttl/4)")
 		scrubEvry = flag.Duration("scrub-interval", 0, "distributed mode: anti-entropy scrub period (default lease-ttl/2)")
-		peerBatch = flag.Int("peer-batch", 256, "distributed mode: max remote misses per batched peer read RPC; 0 falls back to serial per-sample peer reads")
-		peerInfl  = flag.Int("peer-inflight", 0, "distributed mode: max in-flight frames per multiplexed peer connection (0 selects the client default)")
+		peerInfl  = flag.Int("peer-inflight", 0, "distributed mode: max in-flight frames per peer connection (0 selects the client default)")
 		maxInfl   = flag.Int("max-inflight", 0, "admission control: max concurrently admitted requests before shedding (0 disables the cap)")
 		targetQD  = flag.Duration("target-queue-delay", 0, "admission control: standing queue delay that triggers brownout/shedding, CoDel-style (0 disables the delay ladder)")
 		brkThresh = flag.Int("breaker-threshold", 0, "peer circuit breakers: consecutive failures before a peer trips open (0 selects the default; negative disables breakers)")
@@ -242,18 +241,12 @@ func main() {
 		}
 		srv.EnableDistributed(dkv.NodeID(*nodeID), dirSvc, peerMap)
 		srv.SetPeerConfig(rpc.PeerConfig{
-			Batch:            *peerBatch,
 			Inflight:         *peerInfl,
 			RPCTimeout:       *defDL,
 			BreakerThreshold: *brkThresh,
 		})
-		if *peerBatch > 0 {
-			log.Printf("icache-server: distributed node %d, directory %s, %d peers (batched peer reads, <=%d samples/RPC)",
-				*nodeID, *dirAddr, len(peerMap), *peerBatch)
-		} else {
-			log.Printf("icache-server: distributed node %d, directory %s, %d peers (serial peer reads)",
-				*nodeID, *dirAddr, len(peerMap))
-		}
+		log.Printf("icache-server: distributed node %d, directory %s, %d peers",
+			*nodeID, *dirAddr, len(peerMap))
 		// Join under a fresh lease; a warm restart replays ownership claims
 		// for every checkpoint-restored resident (claims a survivor won in
 		// the meantime are denied and the local copy is dropped).

@@ -11,7 +11,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -35,9 +34,9 @@ func main() {
 		bs      = flag.Int("batch", 256, "mini-batch size")
 		workers = flag.Int("workers", 4, "concurrent fetch workers (one connection each, like PyTorch data workers)")
 		seed    = flag.Int64("seed", 1, "sampler seed")
-		clairv  = flag.Bool("clairvoyant", false, "push each epoch's full schedule at the boundary (BeginEpochPlan) so a planning server pre-places the working set; falls back to a plain epoch boundary when the server has no planner")
+		clairv  = flag.Bool("clairvoyant", false, "push each epoch's full schedule at the boundary (BeginEpochPlan) so a planning server pre-places the working set; a server without a planner treats it as a plain epoch boundary")
 		timeout = flag.Duration("timeout", 5*time.Second, "dial timeout")
-		traceN  = flag.Int("trace-sample", 0, "trace 1 in N GetBatch requests end to end (0 disables); traced requests carry a trace envelope the server and its peers record spans under")
+		traceN  = flag.Int("trace-sample", 0, "trace 1 in N GetBatch requests end to end (0 disables); traced requests carry a trace ID the server and its peers record spans under")
 		traceTo = flag.String("trace-csv", "", "dump the client-side spans of traced requests to this CSV at exit (combine with the server's -trace-csv in icache-trace)")
 	)
 	flag.Parse()
@@ -100,24 +99,16 @@ func main() {
 		if err := client.UpdateImportance(hlist.Items); err != nil {
 			log.Fatalf("icache-train: push H-list: %v", err)
 		}
+		// A planned boundary ships the epoch's whole access order, which
+		// the sampler drew up front, so a planning server pre-places the
+		// misses before the batches arrive.
+		var err error
 		if *clairv {
-			// Planned boundary: the sampler drew the whole epoch's access
-			// order up front, so ship it with the boundary and let the
-			// server pre-place the misses before the batches arrive. An
-			// older or non-planning server rejects the opcode with an
-			// application error; fall back to the plain boundary so the
-			// flag is safe against any server.
-			err := client.BeginEpochPlan(epoch, sched.Fetch)
-			var se *rpc.ServerError
-			if errors.As(err, &se) {
-				log.Printf("icache-train: server rejected planned boundary (%v); falling back to -clairvoyant=false", err)
-				*clairv = false
-				err = client.BeginEpoch(epoch)
-			}
-			if err != nil {
-				log.Fatalf("icache-train: begin epoch: %v", err)
-			}
-		} else if err := client.BeginEpoch(epoch); err != nil {
+			err = client.BeginEpochPlan(epoch, sched.Fetch)
+		} else {
+			err = client.BeginEpoch(epoch)
+		}
+		if err != nil {
 			log.Fatalf("icache-train: begin epoch: %v", err)
 		}
 

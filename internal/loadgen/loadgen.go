@@ -67,8 +67,8 @@ type Config struct {
 	DialTimeout time.Duration
 	// Deadline is the per-request budget, measured from each request's
 	// SCHEDULED start (open-loop: a request issued late has already burned
-	// part of its budget). The budget propagates to the server in the wire
-	// envelope, so overloaded servers drop unservable work instead of
+	// part of its budget). The budget propagates to the server in the request
+	// header, so overloaded servers drop unservable work instead of
 	// answering it late. 0 = no deadline (the historic behavior).
 	Deadline time.Duration
 

@@ -1,8 +1,7 @@
 package rpc
 
-// Tests for the batched remote data plane (PR 5): the scatter-gather miss
-// path, multiplexed transport interop with legacy binaries in both
-// directions, clean-close logging hygiene, chaos conservation under
+// Tests for the batched remote data plane: the scatter-gather miss path,
+// clean-close logging hygiene, chaos conservation under
 // mid-batch peer connection drops, batched directory lookups in the
 // scrubber, and the O(owning nodes) peer-RPC bound.
 
@@ -25,8 +24,7 @@ import (
 )
 
 // newUnstartedServer builds a server without serving it, so tests can
-// configure pre-Serve state (legacy-protocol pinning, distribution wiring,
-// log capture) race-free — those fields are read without synchronization by
+// configure pre-Serve state (distribution wiring, log capture) race-free — those fields are read without synchronization by
 // the serving path and must not change once connections exist. src may be
 // nil for a plain storage.DataSource; prefetchWorkers < 0 keeps the config
 // default.
@@ -91,16 +89,17 @@ func waitNoConns(t *testing.T, srv *Server) {
 // TestCleanCloseLogsNothing pins the EOF contract of the connection loop: a
 // client that completes its requests and closes cleanly must not produce a
 // single server log line — EOF and net.ErrClosed are normal teardown, not
-// connection errors. Both transports are checked, since the mux path closes
-// the connection from the demux reader's side.
+// connection errors. Both client connection kinds are checked: the
+// pipelined session, which closes from the demux reader's side, and the
+// one-shot dial-exchange-close connection a retried call uses.
 func TestCleanCloseLogsNothing(t *testing.T) {
 	defer leakcheck.Check(t)
 	for _, tc := range []struct {
-		name string
-		cfg  DialConfig
+		name  string
+		retry bool // break the session first, so the call retries one-shot
 	}{
-		{"mux", DialConfig{Timeout: time.Second}},
-		{"legacy", DialConfig{Timeout: time.Second, DisableMux: true}},
+		{"mux", false},
+		{"one-shot-retry", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv := newUnstartedServer(t, nil, -1)
@@ -113,15 +112,30 @@ func TestCleanCloseLogsNothing(t *testing.T) {
 			}
 			addr := serveOn(t, srv)
 
-			c, err := DialConfigured(addr, tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			c := dial(t, addr)
 			if err := c.Ping(); err != nil {
 				t.Fatal(err)
 			}
+			if tc.retry {
+				// Swap in a session whose far end swallows one request and
+				// hangs up: the first attempt fails mid-call, so the retry
+				// takes the one-shot connection.
+				near, far := net.Pipe()
+				go func() {
+					readFrame(far)
+					far.Close()
+				}()
+				c.muxMu.Lock()
+				old := c.mux
+				c.mux = newMuxSession(near, 0)
+				c.muxMu.Unlock()
+				old.close()
+			}
 			if _, err := c.GetBatch([]dataset.SampleID{1, 2, 3}); err != nil {
 				t.Fatal(err)
+			}
+			if _, redials := c.Resilience(); tc.retry != (redials > 0) {
+				t.Fatalf("redials = %d; the %s case %s retry", redials, tc.name, map[bool]string{true: "must", false: "must not"}[tc.retry])
 			}
 			if err := c.Close(); err != nil {
 				t.Fatal(err)
@@ -133,145 +147,6 @@ func TestCleanCloseLogsNothing(t *testing.T) {
 				t.Fatalf("clean close logged %d lines: %q", len(lines), lines)
 			}
 		})
-	}
-}
-
-// TestInteropModernClientLegacyServer dials a server pinned to the pre-mux
-// wire protocol: the capability handshake must negotiate the client down to
-// the serial transport (not error), and batched requests — including
-// concurrent ones, which serialize on the legacy connection — must still
-// deliver byte-correct payloads.
-func TestInteropModernClientLegacyServer(t *testing.T) {
-	defer leakcheck.Check(t)
-	srv := newUnstartedServer(t, nil, -1)
-	srv.SetLegacyProtocol(true)
-	addr := serveOn(t, srv)
-	spec := testSpec()
-
-	c := dial(t, addr)
-	if c.Muxed() {
-		t.Fatal("client negotiated mux against a legacy server")
-	}
-	ids := warmOverWire(t, c, 12)
-
-	const workers = 4
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			samples, err := c.GetBatch(ids)
-			if err != nil {
-				errs <- err
-				return
-			}
-			for i, s := range samples {
-				if s.ID != ids[i] {
-					errs <- fmt.Errorf("H-sample %d substituted with %d", ids[i], s.ID)
-					return
-				}
-				if err := spec.VerifyPayload(s.ID, s.Payload); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-}
-
-// TestInteropLegacyClientModernServer runs a client pinned to the legacy
-// transport (DisableMux stands in for an old binary) against a current
-// server: plain frames must serve exactly as before the mux envelope
-// existed.
-func TestInteropLegacyClientModernServer(t *testing.T) {
-	defer leakcheck.Check(t)
-	_, addr, _ := startServer(t)
-	spec := testSpec()
-
-	c, err := DialConfigured(addr, DialConfig{Timeout: time.Second, DisableMux: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	if c.Muxed() {
-		t.Fatal("DisableMux client reports muxed")
-	}
-	if err := c.Ping(); err != nil {
-		t.Fatal(err)
-	}
-	ids := warmOverWire(t, c, 12)
-	samples, err := c.GetBatch(ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range samples {
-		if s.ID != ids[i] {
-			t.Fatalf("H-sample %d substituted with %d", ids[i], s.ID)
-		}
-		if err := spec.VerifyPayload(s.ID, s.Payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestInteropLegacyPeerDegradesToSerial pins the OWNING node of a two-node
-// cluster to the legacy protocol: the other node's peer client negotiates
-// down, opPeerGetBatch degrades to serial per-sample PeerGets, and remote
-// samples are still served from the peer's DRAM — a mixed-version cluster
-// loses the batching win but keeps the cache win.
-func TestInteropLegacyPeerDegradesToSerial(t *testing.T) {
-	f := startDistFixtureHook(t, func(n int, srv *Server) {
-		if n == 0 {
-			srv.SetLegacyProtocol(true)
-		}
-	})
-	spec := testSpec()
-
-	cA := dial(t, f.addrs[0])
-	cB := dial(t, f.addrs[1])
-	if cA.Muxed() {
-		t.Fatal("client negotiated mux against the legacy node")
-	}
-	var items []sampling.Item
-	var ids []dataset.SampleID
-	for id := dataset.SampleID(0); id < 24; id++ {
-		items = append(items, sampling.Item{ID: id, IV: 5})
-		ids = append(ids, id)
-	}
-	if err := cA.UpdateImportance(items); err != nil {
-		t.Fatal(err)
-	}
-	if err := cB.UpdateImportance(items); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cA.GetBatch(ids); err != nil {
-		t.Fatal(err)
-	}
-
-	before := f.sources[1].Reads()
-	samples, err := cB.GetBatch(ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if delta := f.sources[1].Reads() - before; delta != 0 {
-		t.Fatalf("node B hit its backend %d times; want peer-served through the serial fallback", delta)
-	}
-	for i, s := range samples {
-		if s.ID != ids[i] {
-			t.Fatalf("sample %d substituted", ids[i])
-		}
-		if err := spec.VerifyPayload(s.ID, s.Payload); err != nil {
-			t.Fatalf("peer payload corrupt: %v", err)
-		}
-	}
-	if _, hits := f.nodes[1].PeerStats(); hits == 0 {
-		t.Fatal("node B recorded no peer hits through the legacy fallback")
 	}
 }
 
@@ -292,9 +167,6 @@ func TestBatchedMissCoalescing(t *testing.T) {
 	srv := newUnstartedServer(t, src, -1)
 	srv.EnableDistributed(0, dkv.Local{Dir: dkv.NewDirectory()}, nil)
 	addr := serveOn(t, srv)
-	if srv.dist.peerCfg.Batch <= 0 {
-		t.Fatal("fixture did not select the batched data plane")
-	}
 
 	ids := []dataset.SampleID{3, 5, 8, 13}
 	var items []sampling.Item

@@ -175,13 +175,17 @@ func BenchmarkServeHitPath(b *testing.B) {
 	for j := range ids {
 		ids[j] = dataset.SampleID(rng.Intn(hotSet))
 	}
-	req := encodeGetBatchRequest(ids)
-	cs := &muxConnState{conn: discardConn{}, sem: make(chan struct{}, muxServerInflight)}
+	h, body, err := decodeRequestHeader(encodeGetBatchRequest(ids), time.Now())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cs := &connState{conn: discardConn{}, sem: make(chan struct{}, muxServerInflight)}
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := srv.serveVecRequest(cs, 0, false, req, time.Time{}); err != nil {
+		sc, derr := decodeScratch(body)
+		if err := srv.serveVecDecoded(cs, h, sc, derr); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -204,7 +208,7 @@ func BenchmarkServeHitPath(b *testing.B) {
 //	        additions.
 //	traced: histograms plus span recording with every request traced
 //	        (1-in-1 sampling, far denser than any production -trace-sample
-//	        setting), the worst case for envelope encode/decode cost.
+//	        setting), the worst case for span recording cost.
 //	armed:  the full decision-observability deployment — histograms, span
 //	        tracing, the control-plane journal AND a 1s timeline ticker —
 //	        i.e. what a production node runs with -metrics-addr and
@@ -292,9 +296,9 @@ func BenchmarkObsOverhead(b *testing.B) {
 }
 
 // benchDistPair builds a two-node distributed deployment over loopback with
-// a real TCP directory (round trips count here) and the given peer config on
-// both nodes, mirroring startDistFixture at benchmark scale.
-func benchDistPair(b *testing.B, cfg PeerConfig) ([2]*Server, [2]string) {
+// a real TCP directory (round trips count here), mirroring startDistFixture
+// at benchmark scale.
+func benchDistPair(b *testing.B) ([2]*Server, [2]string) {
 	b.Helper()
 	spec := dataset.Spec{Name: "bench", NumSamples: 4096, MeanSampleBytes: 1024, Seed: 7}
 
@@ -340,7 +344,6 @@ func benchDistPair(b *testing.B, cfg PeerConfig) ([2]*Server, [2]string) {
 		}
 		peer := map[dkv.NodeID]string{dkv.NodeID(1 - n): addrs[1-n]}
 		nodes[n].EnableDistributed(dkv.NodeID(n), dirClient, peer)
-		nodes[n].SetPeerConfig(cfg)
 		go nodes[n].Serve(lns[n])
 	}
 	b.Cleanup(func() {
@@ -350,105 +353,91 @@ func benchDistPair(b *testing.B, cfg PeerConfig) ([2]*Server, [2]string) {
 	return nodes, addrs
 }
 
-// BenchmarkPeerHotSet is the before/after comparison of the batched remote
-// data plane (archived via `make bench-peer` into BENCH_peer.json): eight
-// clients hammer node B with mini-batches drawn from a hot set that node A
-// owns, so every request is a remote-owned miss (remote hits are never
-// admitted locally — the no-duplication invariant keeps the set on A).
-//
-//	serial:  PeerConfig.Batch=0, the pre-batching plane — per sample, one
-//	         directory Lookup plus one PeerGet round trip.
-//	batched: one directory multi-lookup and one opPeerGetBatch RPC per
-//	         mini-batch, pipelined over the multiplexed peer connection.
-//
-// The headline samples/sec metric should improve by >= 3x batched vs
-// serial; peer-rpcs/op reports the measured RPC amortization.
+// BenchmarkPeerHotSet measures the batched remote data plane (archived via
+// `make bench-peer` into BENCH_peer.json): eight clients hammer node B with
+// mini-batches drawn from a hot set that node A owns, so every request is a
+// remote-owned miss (remote hits are never admitted locally — the
+// no-duplication invariant keeps the set on A). Each mini-batch costs one
+// directory multi-lookup and one opPeerGetBatch RPC, pipelined over the
+// peer connection; peer-rpcs/op reports the measured RPC amortization.
 func BenchmarkPeerHotSet(b *testing.B) {
 	const (
 		batchSize = 16
 		clients   = 8
 		hotSet    = 64
 	)
-	for _, mode := range []struct {
-		name string
-		cfg  PeerConfig
-	}{
-		{"serial", PeerConfig{Batch: 0}},
-		{"batched", PeerConfig{Batch: 256}},
-	} {
-		b.Run("mode="+mode.name, func(b *testing.B) {
-			nodes, addrs := benchDistPair(b, mode.cfg)
+	b.Run("mode=batched", func(b *testing.B) {
+		nodes, addrs := benchDistPair(b)
 
-			// Warm: node A fetches and claims the hot set; both nodes carry
-			// the same H-list so node B serves the exact requested IDs.
-			var items []sampling.Item
-			var hot []dataset.SampleID
-			for id := dataset.SampleID(0); id < hotSet; id++ {
-				items = append(items, sampling.Item{ID: id, IV: 5})
-				hot = append(hot, id)
-			}
-			cA, err := Dial(addrs[0], 2*time.Second)
+		// Warm: node A fetches and claims the hot set; both nodes carry
+		// the same H-list so node B serves the exact requested IDs.
+		var items []sampling.Item
+		var hot []dataset.SampleID
+		for id := dataset.SampleID(0); id < hotSet; id++ {
+			items = append(items, sampling.Item{ID: id, IV: 5})
+			hot = append(hot, id)
+		}
+		cA, err := Dial(addrs[0], 2*time.Second)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer cA.Close()
+		if err := cA.UpdateImportance(items); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := cA.GetBatch(hot); err != nil {
+			b.Fatal(err)
+		}
+
+		conns := make([]*Client, clients)
+		for i := range conns {
+			c, err := Dial(addrs[1], 2*time.Second)
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer cA.Close()
-			if err := cA.UpdateImportance(items); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := cA.GetBatch(hot); err != nil {
-				b.Fatal(err)
-			}
+			defer c.Close()
+			conns[i] = c
+		}
+		if err := conns[0].UpdateImportance(items); err != nil {
+			b.Fatal(err)
+		}
 
-			conns := make([]*Client, clients)
-			for i := range conns {
-				c, err := Dial(addrs[1], 2*time.Second)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer c.Close()
-				conns[i] = c
-			}
-			if err := conns[0].UpdateImportance(items); err != nil {
-				b.Fatal(err)
-			}
-
-			rpcs0, _ := nodes[1].PeerBatchStats()
-			b.ResetTimer()
-			var next int64
-			var wg sync.WaitGroup
-			errc := make(chan error, clients)
-			for i := 0; i < clients; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(i)*6700417 + 9))
-					ids := make([]dataset.SampleID, batchSize)
-					for atomic.AddInt64(&next, 1) <= int64(b.N) {
-						for j := range ids {
-							ids[j] = dataset.SampleID(rng.Intn(hotSet))
-						}
-						if _, err := conns[i].GetBatch(ids); err != nil {
-							errc <- err
-							return
-						}
+		rpcs0, _ := nodes[1].PeerBatchStats()
+		b.ResetTimer()
+		var next int64
+		var wg sync.WaitGroup
+		errc := make(chan error, clients)
+		for i := 0; i < clients; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(i)*6700417 + 9))
+				ids := make([]dataset.SampleID, batchSize)
+				for atomic.AddInt64(&next, 1) <= int64(b.N) {
+					for j := range ids {
+						ids[j] = dataset.SampleID(rng.Intn(hotSet))
 					}
-				}(i)
-			}
-			wg.Wait()
-			b.StopTimer()
-			select {
-			case err := <-errc:
-				b.Fatal(err)
-			default:
-			}
-			elapsed := b.Elapsed().Seconds()
-			if elapsed > 0 {
-				b.ReportMetric(float64(b.N*batchSize)/elapsed, "samples/sec")
-			}
-			rpcs, _ := nodes[1].PeerBatchStats()
-			b.ReportMetric(float64(rpcs-rpcs0)/float64(b.N), "peer-rpcs/op")
-		})
-	}
+					if _, err := conns[i].GetBatch(ids); err != nil {
+						errc <- err
+						return
+					}
+				}
+			}(i)
+		}
+		wg.Wait()
+		b.StopTimer()
+		select {
+		case err := <-errc:
+			b.Fatal(err)
+		default:
+		}
+		elapsed := b.Elapsed().Seconds()
+		if elapsed > 0 {
+			b.ReportMetric(float64(b.N*batchSize)/elapsed, "samples/sec")
+		}
+		rpcs, _ := nodes[1].PeerBatchStats()
+		b.ReportMetric(float64(rpcs-rpcs0)/float64(b.N), "peer-rpcs/op")
+	})
 }
 
 // BenchmarkServeHotSet is the coalescing stressor: all clients hammer a

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -46,22 +47,15 @@ func (e *ServerError) Error() string { return "rpc: server error: " + e.Msg }
 // iCacheImageFolder plays inside PyTorch): it forwards data-loader requests
 // to the cache server and pushes the job's H-list after importance updates.
 //
-// A Client owns one TCP connection. Which transport runs on it is decided
-// by a capability handshake at dial time (see mux.go):
-//
-//   - against a mux-capable server, requests are pipelined — N goroutines
-//     can have N tagged frames in flight at once, matched back to their
-//     callers by a demux reader goroutine;
-//   - against a legacy server, the client degrades to the classic
-//     one-frame-at-a-time exchange, serialized under the client mutex.
+// A Client owns one TCP connection carrying pipelined requests: N
+// goroutines can have N frames in flight at once, matched back to their
+// callers by a demux reader goroutine (mux.go).
 //
 // The client is resilient by default: a transport failure triggers
 // redial-and-retry under an exponential-backoff-with-jitter policy
 // (retry.Default), so a long-running training job rides through cache
-// server restarts — servers come back warm via checkpoints. The handshake
-// re-runs on every redial, so a server that restarts into a different
-// protocol generation is re-probed. Application errors reported by the
-// server (status frames) are never retried.
+// server restarts — servers come back warm via checkpoints. Application
+// errors reported by the server (status frames) are never retried.
 type Client struct {
 	addr    string
 	timeout time.Duration
@@ -69,10 +63,9 @@ type Client struct {
 	rng     *rand.Rand          // jitter PRNG; thread-safe via lockedSource
 	sleep   func(time.Duration) // nil = time.Sleep; tests may stub
 
-	// rpcTimeout bounds every round trip (0 = unbounded): a per-call
-	// SetDeadline on serial exchanges, a per-call timer on mux calls. A
-	// context deadline passed through the *Ctx APIs tightens (never loosens)
-	// this bound.
+	// rpcTimeout bounds every round trip (0 = unbounded) with a per-call
+	// timer. A context deadline passed through the *Ctx APIs tightens (never
+	// loosens) this bound.
 	rpcTimeout time.Duration
 
 	// breaker is the per-peer circuit breaker (nil = disabled). Shared with
@@ -80,25 +73,14 @@ type Client struct {
 	// Allow gates every round trip, Report feeds transport outcomes back.
 	breaker *overload.Breaker
 
-	// mu guards the serial transport's connection and the closed flag.
-	// Unlike the pre-mux client it is held across ONE exchange, not across
-	// the whole retry loop.
-	mu     sync.Mutex
-	conn   net.Conn
-	closed bool
-
 	retries int64 // atomic: round trips that needed at least one retry
 	redials int64 // atomic: successful connection re-establishments
 
-	// Multiplexed transport state (mux.go). useMux is 1 after a handshake
-	// granted capMux (atomic: the request path reads it lock-free); a
-	// redial that negotiates down flips it back to 0 for good. muxMu
-	// guards the current session generation.
-	useMux      int32
-	muxDisabled bool // config: never negotiate (emulates a legacy client)
-	muxInflight int  // per-session in-flight bound (0 = default)
+	// muxMu guards the current session generation and the closed flag.
+	muxInflight int // per-session in-flight bound
 	muxMu       sync.Mutex
 	mux         *muxSession
+	closed      bool
 
 	// Observability (EnableObs; all nil/zero when disabled). rtHist times
 	// whole round trips (retries included); tracer+sampler arm 1-in-N
@@ -120,21 +102,16 @@ const defaultMuxInflight = 32
 // DialConfig parameterizes DialConfigured. The zero value selects the
 // defaults Dial uses.
 type DialConfig struct {
-	// Timeout bounds the TCP dial and the capability handshake.
+	// Timeout bounds each TCP dial.
 	Timeout time.Duration
 	// Policy is the retry schedule (zero value: retry.Default()).
 	Policy retry.Policy
 	// MuxInflight bounds in-flight requests per multiplexed connection
 	// (<= 0 selects defaultMuxInflight).
 	MuxInflight int
-	// DisableMux skips capability negotiation entirely, pinning the client
-	// to the legacy one-frame-at-a-time transport (mixed-version interop
-	// tests use this to stand in for an old client binary).
-	DisableMux bool
-	// RPCTimeout bounds each round trip (0 = unbounded). On the serial
-	// transport it becomes a conn.SetDeadline per exchange; on the mux
-	// transport a per-call timer, so one slow response cannot poison the
-	// shared pipelined connection.
+	// RPCTimeout bounds each round trip (0 = unbounded) with a per-call
+	// timer, so one slow response cannot poison the shared pipelined
+	// connection.
 	RPCTimeout time.Duration
 	// Breaker, when non-nil, is the circuit breaker consulted before and
 	// reported to after every round trip. Owned by the caller so it survives
@@ -169,7 +146,6 @@ func DialConfigured(addr string, cfg DialConfig) (*Client, error) {
 		timeout:     cfg.Timeout,
 		policy:      policy,
 		rng:         rand.New(newLockedSource(int64(len(addr))*0x9E37 + 1)),
-		muxDisabled: cfg.DisableMux,
 		muxInflight: inflight,
 		rpcTimeout:  cfg.RPCTimeout,
 		breaker:     cfg.Breaker,
@@ -180,20 +156,7 @@ func DialConfigured(addr string, cfg DialConfig) (*Client, error) {
 		if err != nil {
 			return err
 		}
-		if c.muxDisabled {
-			c.conn = conn
-			return nil
-		}
-		caps, err := negotiate(conn, cfg.Timeout)
-		if err != nil {
-			conn.Close()
-			return err
-		}
-		c.conn = conn
-		if caps&capMux != 0 {
-			atomic.StoreInt32(&c.useMux, 1)
-			c.mux = newMuxSession(conn, c.muxInflight)
-		}
+		c.mux = newMuxSession(conn, c.muxInflight)
 		return nil
 	})
 	if err != nil {
@@ -202,29 +165,15 @@ func DialConfigured(addr string, cfg DialConfig) (*Client, error) {
 	return c, nil
 }
 
-// Muxed reports whether the client negotiated the multiplexed transport
-// with its server (false against a legacy peer, or after DisableMux).
-func (c *Client) Muxed() bool { return atomic.LoadInt32(&c.useMux) == 1 }
-
-// Close tears down the connection (and the demux reader, when muxing).
+// Close tears down the connection and waits for the demux reader to exit.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	c.closed = true
-	conn := c.conn
-	c.mu.Unlock()
 	c.muxMu.Lock()
+	c.closed = true
 	m := c.mux
 	c.mux = nil
 	c.muxMu.Unlock()
 	if m != nil {
-		m.close() // closes the conn and waits for the demux reader to exit
-	}
-	if conn != nil {
-		// On a muxed client the session owns the same conn and just closed
-		// it; the double close is harmless and not an error worth reporting.
-		if err := conn.Close(); err != nil && !errors.Is(err, net.ErrClosed) {
-			return err
-		}
+		m.close()
 	}
 	return nil
 }
@@ -239,8 +188,7 @@ func (c *Client) Resilience() (retries, redials int64) {
 // response, returning the remaining body. Transport failures (broken
 // connection, failed write/read) are retried under the client's policy
 // with a fresh connection per attempt; server status errors surface
-// immediately. The transport per attempt is whatever the latest handshake
-// negotiated: pipelined frames on a mux session, or a serial exchange.
+// immediately.
 func (c *Client) roundTrip(req []byte) (*reader, error) {
 	d, _, err := c.roundTripOwned(req)
 	// The pooled backing buffer (if any) is intentionally dropped, not
@@ -365,56 +313,43 @@ func breakerOutcomeOK(err error) bool {
 	return errors.Is(err, errExpiredByServer)
 }
 
-// attempt performs one exchange on whichever transport is currently
-// negotiated. isRetry forces the serial transport to redial first.
-//
-// A retried attempt on a muxed client goes over a ONE-SHOT serial
-// connection instead of re-establishing the mux session inline: the retry's
-// success must not depend on the mux machinery (handshake, demux reader,
-// pipelined peers on the same connection) coming back healthy — a plain
-// dial-exchange-close is the most failure-independent path available, and
-// the next regular request re-establishes the session lazily. This also
-// breaks deterministic failure resonance: a fault schedule that keys on
+// attempt performs one exchange. The first attempt goes over the shared
+// session; isRetry sends a retried attempt over a ONE-SHOT connection
+// instead of re-establishing the session inline: the retry's success must
+// not depend on the session machinery (demux reader, pipelined peers on
+// the same connection) coming back healthy — a plain dial-exchange-close
+// is the most failure-independent path available, and the next regular
+// request re-establishes the session lazily. This also breaks
+// deterministic failure resonance: a fault schedule that keys on
 // per-connection I/O patterns (the chaos suite's DropEvery rules) would
-// otherwise hit a freshly handshaken session at the same relative offset on
-// every retry.
+// otherwise hit a fresh session at the same relative offset on every
+// retry.
 func (c *Client) attempt(req []byte, isRetry bool, deadline time.Time) ([]byte, *wire.Buffer, error) {
-	if c.Muxed() {
-		if isRetry {
-			resp, err := c.oneShotSerial(req, deadline)
-			return resp, nil, err
-		}
-		sess, fresh, err := c.muxSessionFor()
-		if err != nil {
-			return nil, nil, err
-		}
-		if sess != nil {
-			resp, owner, err := sess.doOwned(req, deadline)
-			if err != nil {
-				if errors.Is(err, errCallTimeout) {
-					// The SESSION is fine — only this call ran out of time.
-					// Tearing the mux down would fail its pipelined peers.
-					return nil, nil, retry.Permanent(err)
-				}
-				c.muxFailed(sess)
-				return nil, nil, err
-			}
-			return resp, owner, nil
-		}
-		// The redial negotiated DOWN (server restarted into a legacy
-		// binary): a fresh serial connection is already installed, use it.
-		_ = fresh
-		isRetry = false
+	if isRetry {
+		resp, err := c.oneShot(req, deadline)
+		return resp, nil, err
 	}
-	resp, err := c.serialAttempt(req, isRetry, deadline)
-	return resp, nil, err
+	sess, err := c.session()
+	if err != nil {
+		return nil, nil, err
+	}
+	resp, owner, err := sess.doOwned(req, deadline)
+	if err != nil {
+		if errors.Is(err, errCallTimeout) {
+			// The SESSION is fine — only this call ran out of time.
+			// Tearing it down would fail its pipelined peers.
+			return nil, nil, retry.Permanent(err)
+		}
+		c.muxFailed(sess)
+		return nil, nil, err
+	}
+	return resp, owner, nil
 }
 
-// oneShotSerial performs one exchange on a private dial-and-close
-// connection, never touching the serial conn or the mux session (a racing
-// goroutine may have installed a healthy new generation we must not
-// disturb). Used only for retry attempts of a muxed client.
-func (c *Client) oneShotSerial(req []byte, deadline time.Time) ([]byte, error) {
+// oneShot performs one exchange on a private dial-and-close connection,
+// never touching the session (a racing goroutine may have installed a
+// healthy new generation we must not disturb).
+func (c *Client) oneShot(req []byte, deadline time.Time) ([]byte, error) {
 	if c.isClosed() {
 		return nil, retry.Permanent(fmt.Errorf("rpc: client for %s is closed", c.addr))
 	}
@@ -437,21 +372,22 @@ func (c *Client) oneShotSerial(req []byte, deadline time.Time) ([]byte, error) {
 		}
 		return nil, fmt.Errorf("rpc: receive: %w", err)
 	}
-	return resp, nil
+	if len(resp) <= respHeaderLen || !bytes.Equal(resp[:respHeaderLen], req[1:1+respHeaderLen]) {
+		return nil, fmt.Errorf("rpc: malformed response frame (%d bytes)", len(resp))
+	}
+	return resp[respHeaderLen:], nil
 }
 
-// muxSessionFor returns a live mux session, dialing a new generation when
-// the current one is broken. A nil session with nil error means the redial
-// handshake negotiated down to the serial transport (useMux was flipped and
-// the fresh connection installed for serialAttempt).
-func (c *Client) muxSessionFor() (*muxSession, bool, error) {
+// session returns a live session, dialing a new generation when the
+// current one is broken.
+func (c *Client) session() (*muxSession, error) {
 	c.muxMu.Lock()
 	defer c.muxMu.Unlock()
-	if c.isClosed() {
-		return nil, false, retry.Permanent(fmt.Errorf("rpc: client for %s is closed", c.addr))
+	if c.closed {
+		return nil, retry.Permanent(fmt.Errorf("rpc: client for %s is closed", c.addr))
 	}
 	if c.mux != nil && !c.mux.broken() {
-		return c.mux, false, nil
+		return c.mux, nil
 	}
 	if c.mux != nil {
 		c.mux.close()
@@ -459,32 +395,11 @@ func (c *Client) muxSessionFor() (*muxSession, bool, error) {
 	}
 	conn, err := net.DialTimeout("tcp", c.addr, c.timeout)
 	if err != nil {
-		return nil, false, fmt.Errorf("rpc: redial %s: %w", c.addr, err)
-	}
-	caps, err := negotiate(conn, c.timeout)
-	if err != nil {
-		conn.Close()
-		return nil, false, fmt.Errorf("rpc: redial %s: %w", c.addr, err)
+		return nil, fmt.Errorf("rpc: redial %s: %w", c.addr, err)
 	}
 	atomic.AddInt64(&c.redials, 1)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		conn.Close()
-		return nil, false, retry.Permanent(fmt.Errorf("rpc: client for %s is closed", c.addr))
-	}
-	old := c.conn
-	c.conn = conn
-	c.mu.Unlock()
-	if old != nil && old != conn {
-		old.Close()
-	}
-	if caps&capMux == 0 {
-		atomic.StoreInt32(&c.useMux, 0)
-		return nil, true, nil
-	}
 	c.mux = newMuxSession(conn, c.muxInflight)
-	return c.mux, true, nil
+	return c.mux, nil
 }
 
 // muxFailed discards a broken session generation so the next attempt dials
@@ -500,48 +415,9 @@ func (c *Client) muxFailed(sess *muxSession) {
 }
 
 func (c *Client) isClosed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.muxMu.Lock()
+	defer c.muxMu.Unlock()
 	return c.closed
-}
-
-// serialAttempt performs one legacy-framing exchange under mu: write one
-// frame, read one frame. Holding mu across the exchange keeps concurrent
-// users of a legacy client request/response-aligned — they serialize, which
-// is exactly the head-of-line blocking the mux transport removes.
-func (c *Client) serialAttempt(req []byte, redial bool, deadline time.Time) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, retry.Permanent(fmt.Errorf("rpc: client for %s is closed", c.addr))
-	}
-	if c.conn == nil || redial {
-		if err := c.redialLocked(); err != nil {
-			return nil, fmt.Errorf("rpc: redial %s: %w", c.addr, err)
-		}
-	}
-	if !deadline.IsZero() {
-		// Per-exchange bound; cleared after so an unbounded caller is not
-		// poisoned by a stale deadline on the shared serial connection.
-		c.conn.SetDeadline(deadline)
-		defer c.conn.SetDeadline(time.Time{})
-	}
-	if err := writeFrame(c.conn, req); err != nil {
-		return nil, fmt.Errorf("rpc: send: %w", err)
-	}
-	resp, err := readFrame(c.conn)
-	if err != nil {
-		if isTimeout(err) {
-			// The connection is desynchronized, not dead: the request went
-			// out and its response will eventually arrive unread. Drop it so
-			// the next exchange dials fresh instead of decoding a stale frame.
-			c.conn.Close()
-			c.conn = nil
-			return nil, retry.Permanent(fmt.Errorf("rpc: receive: %w", errCallTimeout))
-		}
-		return nil, fmt.Errorf("rpc: receive: %w", err)
-	}
-	return resp, nil
 }
 
 // isTimeout reports whether a transport error is a SetDeadline expiry.
@@ -550,56 +426,26 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// redialLocked replaces the serial connection (mu held).
-func (c *Client) redialLocked() error {
-	conn, err := net.DialTimeout("tcp", c.addr, c.timeout)
-	if err != nil {
-		return err
-	}
-	if c.conn != nil {
-		c.conn.Close()
-	}
-	c.conn = conn
-	atomic.AddInt64(&c.redials, 1)
-	return nil
-}
-
 // GetBatch fetches a mini-batch through the cache (the paper's rpc_loader
 // interface). The returned samples may carry different IDs than requested
 // when the server substituted missed L-samples.
 //
 // When client observability is armed (EnableObs) and the sampler fires,
-// the request travels inside a trace envelope and the client records the
-// hop-0 KindRPCSend span covering the full round trip.
+// the request carries a trace ID and the client records the hop-0
+// KindRPCSend span covering the full round trip.
 func (c *Client) GetBatch(ids []dataset.SampleID) ([]Sample, error) {
 	return c.GetBatchCtx(context.Background(), ids)
 }
 
 // GetBatchCtx is GetBatch with deadline propagation: the context's
-// remaining time is encoded into the request's opDeadline envelope, so the
-// server (and every peer/directory hop it fans out to) inherits the budget
-// and drops work that can no longer finish in time. The same deadline
-// bounds the local wait (a hung transport cannot outlive the context).
+// remaining time rides the request header as its budget, so the server
+// (and every peer/directory hop it fans out to) inherits the budget and
+// drops work that can no longer finish in time. The same deadline bounds
+// the local wait (a hung transport cannot outlive the context).
 func (c *Client) GetBatchCtx(ctx context.Context, ids []dataset.SampleID) ([]Sample, error) {
-	deadline, budget, err := c.ctxBounds(ctx)
-	if err != nil {
-		return nil, err
-	}
-	req := encodeGetBatchRequest(ids)
-	tctx := c.beginTrace()
-	var t0 time.Time
-	if tctx.Valid() {
-		req = WrapTraced(req, tctx.Next())
-		t0 = time.Now()
-	}
-	if budget > 0 {
-		req = encodeDeadlineRequest(budget, req)
-	}
-	d, _, err := c.roundTripDeadline(req, deadline)
-	if tctx.Valid() {
-		c.tracer.RecordSpan(time.Since(c.obsStart), trace.KindRPCSend, 0,
-			spanArgPeer, tctx.ID, tctx.Hop, time.Since(t0))
-	}
+	// The pooled response buffer is dropped, not recycled: the payloads
+	// alias it and are handed out with an unbounded lifetime.
+	d, _, err := c.getBatch(ctx, ids)
 	if err != nil {
 		return nil, err
 	}
@@ -611,6 +457,32 @@ func (c *Client) GetBatchCtx(ctx context.Context, ids []dataset.SampleID) ([]Sam
 		return nil, fmt.Errorf("rpc: got %d samples for %d requests", len(samples), len(ids))
 	}
 	return samples, nil
+}
+
+// getBatch is the round trip shared by GetBatchCtx and GetBatchFuncCtx. The
+// request is encoded into a pooled buffer, recycled once the round trip
+// returns (every attempt's write has completed by then). The caller
+// decodes the response and owns its backing buffer.
+func (c *Client) getBatch(ctx context.Context, ids []dataset.SampleID) (*reader, *wire.Buffer, error) {
+	deadline, budget, err := c.ctxBounds(ctx)
+	if err != nil {
+		return nil, nil, err
+	}
+	tctx := c.beginTrace()
+	e := wire.GetBuffer()
+	appendRequestHeader(e, opGetBatch, tctx.Next(), budget)
+	appendIDs(e, ids)
+	var t0 time.Time
+	if tctx.Valid() {
+		t0 = time.Now()
+	}
+	d, owner, err := c.roundTripDeadline(e.B, deadline)
+	wire.PutBuffer(e)
+	if tctx.Valid() {
+		c.tracer.RecordSpan(time.Since(c.obsStart), trace.KindRPCSend, 0,
+			spanArgPeer, tctx.ID, tctx.Hop, time.Since(t0))
+	}
+	return d, owner, err
 }
 
 // ctxBounds merges a context deadline with the configured per-call
@@ -661,36 +533,9 @@ func (c *Client) GetBatchFunc(ids []dataset.SampleID, fn func([]Sample) error) e
 }
 
 // GetBatchFuncCtx is GetBatchFunc with deadline propagation (see
-// GetBatchCtx). The opDeadline envelope is prefixed in the same pooled
-// request buffer, so the borrowed-read hot path stays allocation-free.
+// GetBatchCtx).
 func (c *Client) GetBatchFuncCtx(ctx context.Context, ids []dataset.SampleID, fn func([]Sample) error) error {
-	deadline, budget, err := c.ctxBounds(ctx)
-	if err != nil {
-		return err
-	}
-	e := wire.GetBuffer()
-	if budget > 0 {
-		e.U8(opDeadline)
-		e.I64(int64(budget))
-	}
-	e.U8(opGetBatch)
-	e.U32(uint32(len(ids)))
-	for _, id := range ids {
-		e.I64(int64(id))
-	}
-	req := e.B
-	tctx := c.beginTrace()
-	var t0 time.Time
-	if tctx.Valid() {
-		req = WrapTraced(req, tctx.Next())
-		t0 = time.Now()
-	}
-	d, owner, err := c.roundTripDeadline(req, deadline)
-	wire.PutBuffer(e) // every attempt copies req before writing; safe to recycle now
-	if tctx.Valid() {
-		c.tracer.RecordSpan(time.Since(c.obsStart), trace.KindRPCSend, 0,
-			spanArgPeer, tctx.ID, tctx.Hop, time.Since(t0))
-	}
+	d, owner, err := c.getBatch(ctx, ids)
 	if err != nil {
 		return err
 	}
@@ -723,8 +568,7 @@ func (c *Client) UpdateImportance(items []sampling.Item) error {
 // BeginEpoch tells the server an epoch boundary passed so it can
 // repartition, reset substitution state, and roll the loading thread.
 func (c *Client) BeginEpoch(epoch int) error {
-	var e buffer
-	e.u8(opBeginEpoch)
+	e := newRequest(opBeginEpoch)
 	e.u32(uint32(epoch))
 	_, err := c.roundTrip(e.payload())
 	return err
@@ -733,8 +577,7 @@ func (c *Client) BeginEpoch(epoch int) error {
 // BeginEpochPlan is BeginEpoch carrying the next epoch's known access
 // sequence (the IIS sampler draws it before the epoch starts). A
 // clairvoyant server installs it as a prefetch plan; a reactive one still
-// crosses the boundary and ignores the schedule. Servers predating the
-// opcode reject it — callers fall back to BeginEpoch on error.
+// crosses the boundary and ignores the schedule.
 func (c *Client) BeginEpochPlan(epoch int, ids []dataset.SampleID) error {
 	_, err := c.roundTrip(encodeEpochPlanRequest(epoch, ids))
 	return err
@@ -757,22 +600,16 @@ func (c *Client) PlanPreplace(ids []dataset.SampleID) (int, error) {
 
 // Stats fetches the server's counter snapshot.
 func (c *Client) Stats() (Stats, error) {
-	var e buffer
-	e.u8(opStats)
-	d, err := c.roundTrip(e.payload())
+	d, err := c.roundTrip(newRequest(opStats).payload())
 	if err != nil {
 		return Stats{}, err
 	}
 	return decodeStatsResponse(d)
 }
 
-// Ping checks liveness. (The capability handshake rides a richer ping; see
-// negotiate in mux.go. This one stays byte-identical to the legacy ping so
-// old servers answer it.)
+// Ping checks liveness.
 func (c *Client) Ping() error {
-	var e buffer
-	e.u8(opPing)
-	_, err := c.roundTrip(e.payload())
+	_, err := c.roundTrip(newRequest(opPing).payload())
 	return err
 }
 

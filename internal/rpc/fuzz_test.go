@@ -1,6 +1,9 @@
 package rpc
 
 import (
+	"bytes"
+	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -9,11 +12,72 @@ import (
 	"icache/internal/obs"
 	"icache/internal/sampling"
 	"icache/internal/storage"
+	"icache/internal/wire"
 )
 
-// FuzzServerDispatch throws arbitrary request payloads at the server's
-// dispatcher: it must always answer (or error-answer) and never panic —
-// a malformed client must not be able to take the cache service down.
+// frameSink stands in for a client connection: serveFrame only writes to
+// it, and every byte written is captured.
+type frameSink struct {
+	net.Conn // nil: only Write is called
+	mu       sync.Mutex
+	buf      bytes.Buffer
+}
+
+func (c *frameSink) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.buf.Write(p)
+}
+
+// serveOneFrame feeds one request frame to srv exactly as a connection's
+// read loop does (header decode → admission → dispatch) and waits for its
+// handler. closed reports that the server would close the connection;
+// otherwise resp is the single response frame written back.
+func serveOneFrame(t *testing.T, srv *Server, req []byte) (resp []byte, closed bool) {
+	t.Helper()
+	sink := &frameSink{}
+	cs := &connState{conn: sink, sem: make(chan struct{}, muxServerInflight)}
+	if err := srv.serveFrame(cs, req); err != nil {
+		cs.wg.Wait()
+		return nil, true
+	}
+	cs.wg.Wait()
+	r := bytes.NewReader(sink.buf.Bytes())
+	resp, err := wire.ReadFrame(r)
+	if err != nil {
+		t.Fatalf("no response frame: %v", err)
+	}
+	if r.Len() != 0 {
+		t.Fatalf("%d stray bytes after the response frame", r.Len())
+	}
+	return resp, false
+}
+
+// rawRequest builds a request frame field by field, so seeds can carry
+// header values no client would send.
+func rawRequest(op byte, id uint32, traceID uint64, hop byte, budget int64, body []byte) []byte {
+	var e wire.Buffer
+	e.U8(op)
+	e.U32(id)
+	e.I64(int64(traceID))
+	e.U8(hop)
+	e.I64(budget)
+	e.B = append(e.B, body...)
+	return e.B
+}
+
+// idsBody is the id-list body of the batch opcodes.
+func idsBody(ids ...dataset.SampleID) []byte {
+	var e wire.Buffer
+	appendIDs(&e, ids)
+	return e.B
+}
+
+// FuzzServerDispatch throws arbitrary request frames at the server where a
+// connection's bytes enter it: a frame must be answered exactly once —
+// with its own request ID and a known status — or close the connection,
+// and never panic or hang. A malformed client must not be able to take
+// the cache service down.
 func FuzzServerDispatch(f *testing.F) {
 	spec := testSpec()
 	back, err := storage.NewBackend(spec, storage.OrangeFS())
@@ -31,62 +95,75 @@ func FuzzServerDispatch(f *testing.F) {
 	srv := NewServer(cacheSrv, source)
 	srv.Logf = nil
 
-	// Seed with every opcode, well-formed and truncated.
+	// Every live opcode, well-formed and truncated.
 	f.Add([]byte{})
-	f.Add([]byte{opPing})
-	f.Add([]byte{opGetBatch})
-	f.Add([]byte{opGetBatch, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 7})
-	f.Add([]byte{opUpdateImportance, 0, 0, 0, 1})
-	f.Add([]byte{opBeginEpoch, 0, 0, 0, 0})
-	f.Add([]byte{opStats})
-	f.Add([]byte{opPeerGet, 0, 0, 0, 0, 0, 0, 0, 9})
-	f.Add([]byte{0xFF, 0x01, 0x02})
+	f.Add(newRequest(opPing).payload())
+	f.Add(newRequest(opGetBatch).payload())
+	f.Add(encodeGetBatchRequest([]dataset.SampleID{7}))
+	f.Add(rawRequest(opUpdateImportance, 1, 0, 0, 0, []byte{0, 0, 0, 1}))
+	f.Add(rawRequest(opBeginEpoch, 2, 0, 0, 0, []byte{0, 0, 0, 0}))
+	f.Add(newRequest(opStats).payload())
+	f.Add(rawRequest(0xFF, 3, 0, 0, 0, []byte{0x01, 0x02}))
 	f.Add(encodeGetBatchRequest([]dataset.SampleID{0, 1, 2}))
 	// Batched peer reads: well-formed, truncated id list, and an absurd
 	// count that must trip the "unreasonable batch size" guard instead of
 	// allocating gigabytes.
-	f.Add(encodePeerGetBatchRequest([]dataset.SampleID{0, 1, 2}))
-	f.Add([]byte{opPeerGetBatch, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 7})
-	f.Add([]byte{opPeerGetBatch, 0xFF, 0xFF, 0xFF, 0xFF})
-	// Mux envelope at the dispatch layer (the serve loop intercepts it
-	// before dispatch, so here it must read as an unknown opcode) and a
-	// capability-bearing ping.
-	f.Add([]byte{opMuxReq, 0, 0, 0, 1, opPing})
-	f.Add([]byte{opMuxReq, 0, 0, 0})
-	f.Add([]byte{opPing, 0, 0, 0, 1})
+	f.Add(encodePeerGetBatchRequest([]dataset.SampleID{0, 1, 2}, obs.TraceCtx{}, 0))
+	f.Add(rawRequest(opPeerGetBatch, 4, 0, 0, 0, []byte{0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 7}))
+	f.Add(rawRequest(opPeerGetBatch, 5, 0, 0, 0, []byte{0xFF, 0xFF, 0xFF, 0xFF}))
+	f.Add(encodeEpochPlanRequest(3, []dataset.SampleID{4, 5}))
+	f.Add(encodePlanPreplaceRequest([]dataset.SampleID{6}))
+	// Retired opcodes in the op slot: the per-sample peer read (6), the
+	// trace envelope (7), the mux envelope (9) and the deadline envelope
+	// (10), each followed by the bytes its old sender put there. They must
+	// read as unknown opcodes.
+	f.Add(rawRequest(6, 6, 0, 0, 0, []byte{0, 0, 0, 0, 0, 0, 0, 9}))
+	f.Add(rawRequest(7, 7, 0, 0, 0, append([]byte{0, 0, 0, 0, 0, 0, 0, 9, 1, opGetBatch}, idsBody(0, 1)...)))
+	f.Add(rawRequest(9, 9, 0, 0, 0, []byte{0, 0, 0, 1, opPing}))
+	f.Add(rawRequest(10, 10, 0, 0, 0, []byte{0, 0, 0, 0, 0, 0, 0, 1, opPing}))
 	// Directory-replica frames (dkv opcodes 12/13: ring-view exchange and
-	// shard hand-off) aimed at the cache port by a misconfigured replica:
-	// unknown opcodes here, must error-answer rather than hang or panic.
+	// shard hand-off) aimed at the cache port by a misconfigured replica.
+	// Opcode 12 is opPlanPreplace here, so the replica's body must be
+	// rejected as a malformed id list or decoded harmlessly.
 	f.Add([]byte{12,
 		0, 0, 0, 0, 0, 0, 0, 1, // sender
 		0, 0, 0, 0, 0, 0, 0, 2, // epoch
 		0, 0, 0, 2, // n
 		0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1})
 	f.Add([]byte{13, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 16})
-	f.Add([]byte{12})
-	f.Add([]byte{13, 0xFF, 0xFF, 0xFF, 0xFF})
-	// Deadline envelopes (op 10): a generous budget around a ping, a spent
-	// budget (must answer statusExpired, not fetch), a nested envelope (must
-	// error), a truncated header, and both compositions with the trace
-	// envelope — trace-outer/deadline-inner and deadline-outer/trace-inner.
-	f.Add(encodeDeadlineRequest(time.Minute, []byte{opPing}))
-	f.Add([]byte{opDeadline, 0, 0, 0, 0, 0, 0, 0, 0, opPing})
-	f.Add(encodeDeadlineRequest(time.Minute, encodeDeadlineRequest(time.Minute, []byte{opPing})))
-	f.Add([]byte{opDeadline, 0, 0, 0, 1})
-	f.Add(WrapTraced(encodeDeadlineRequest(time.Minute, encodeGetBatchRequest([]dataset.SampleID{0, 1})), obs.TraceCtx{ID: 9, Hop: 1}))
-	f.Add(encodeDeadlineRequest(time.Minute, WrapTraced(encodeGetBatchRequest([]dataset.SampleID{0, 1}), obs.TraceCtx{ID: 9, Hop: 1})))
+	// Truncated headers: the request ID alone, and one byte short.
+	f.Add([]byte{opPing, 0, 0, 0, 1})
+	f.Add(newRequest(opPing).payload()[:reqHeaderLen-1])
+	// Header values no client sends: a negative budget, and a hop with no
+	// trace ID.
+	f.Add(rawRequest(opGetBatch, 11, 0, 0, -1, idsBody(0, 1)))
+	f.Add(rawRequest(opPing, 12, 0, 3, 0, nil))
+	// Traced and bounded requests: a generous budget, a spent one (1ns,
+	// answered statusExpired), and a traced peer read.
+	f.Add(rawRequest(opGetBatch, 13, 9, 1, int64(time.Minute), idsBody(0, 1)))
+	f.Add(rawRequest(opGetBatch, 14, 0, 0, 1, idsBody(1, 2)))
+	f.Add(encodePeerGetBatchRequest([]dataset.SampleID{0, 1}, obs.TraceCtx{ID: 9, Hop: 2}, time.Minute))
 
 	f.Fuzz(func(t *testing.T, req []byte) {
-		resp := srv.dispatch(req)
-		if len(resp) == 0 {
-			t.Fatal("empty response")
+		resp, closed := serveOneFrame(t, srv, req)
+		if closed {
+			if len(req) >= reqHeaderLen {
+				t.Fatalf("a %d-byte frame with a complete header closed the connection", len(req))
+			}
+			return
 		}
-		switch resp[0] {
+		if len(resp) < respHeaderLen+1 {
+			t.Fatalf("short response frame (%d bytes)", len(resp))
+		}
+		if !bytes.Equal(resp[:respHeaderLen], req[1:1+respHeaderLen]) {
+			t.Fatalf("response carries request ID %x, want %x", resp[:respHeaderLen], req[1:1+respHeaderLen])
+		}
+		switch status := resp[respHeaderLen]; status {
 		case statusOK, statusErr, statusExpired:
 		case statusRetryAfter:
 			t.Fatalf("retry-after with no admission gate installed")
 		default:
-			t.Fatalf("response status %d", resp[0])
+			t.Fatalf("response status %d", status)
 		}
 	})
 }

@@ -1,11 +1,8 @@
 package rpc
 
-// This file is the multiplexed client transport of the batched remote data
-// plane: instead of one serialized request/response exchange at a time per
-// connection (PR-2's Client held its mutex across the whole network round
-// trip — head-of-line blocking once the local serving path went
-// concurrent), a mux-capable client tags every request frame with a u32
-// request ID and splits the connection into
+// This file is the client transport: one TCP connection carries many
+// requests at once. Every request frame carries a u32 request ID in its
+// fixed header (protocol.go), and the connection splits into
 //
 //   - a writer path: any request goroutine may send, serialized only for
 //     the duration of one frame write (wmu), and
@@ -14,20 +11,8 @@ package rpc
 //     pending map, and delivers each result over a buffered channel.
 //
 // N goroutines can therefore have N frames in flight on one TCP connection;
-// the server (see servemux.go) dispatches them concurrently and writes
-// responses back in completion order.
-//
-// # Negotiation
-//
-// Whether a connection speaks mux framing is decided by a capability
-// handshake piggybacked on opPing (see protocol.go): the client appends its
-// capability word to the ping request; a mux-capable server echoes its own
-// after statusOK, a legacy server ignores the extra bytes and answers with
-// the bare status byte. No capMux in the reply means the client stays on
-// the classic one-frame-at-a-time transport — mixed-version clusters keep
-// working, they just don't pipeline. The handshake re-runs on every
-// (re)dial, so a peer that restarts into an older or newer binary is
-// re-probed.
+// the server dispatches them concurrently and writes responses back in
+// completion order.
 //
 // # Channel discipline (lock ordering appendix)
 //
@@ -41,6 +26,7 @@ package rpc
 // can wait on a dead connection.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -106,19 +92,12 @@ func newMuxSession(conn net.Conn, inflightCap int) *muxSession {
 	return m
 }
 
-// do sends one request frame and blocks until the demux reader delivers its
-// response (or the session dies). Safe for unbounded concurrent use. The
-// response is handed out by reference, so its pooled backing buffer is
-// dropped rather than recycled.
-func (m *muxSession) do(req []byte) ([]byte, error) {
-	resp, _, err := m.doOwned(req, time.Time{})
-	return resp, err
-}
-
-// doOwned is do, additionally returning the pooled buffer that backs the
-// response (nil when the read path had to allocate outside the pool). The
-// caller recycles it with wire.PutBuffer once — and only once — it is done
-// with every byte of resp.
+// doOwned stamps a fresh request ID into req's header, sends it, and blocks
+// until the demux reader delivers the response (or the session dies). Safe
+// for unbounded concurrent use. It also returns the pooled buffer that
+// backs the response (nil when the read path had to allocate outside the
+// pool): a caller that retains nothing of resp recycles it with
+// wire.PutBuffer once — and only once — it is done with every byte.
 //
 // A non-zero deadline bounds the wait for this ONE call without poisoning
 // the shared connection: on expiry the request ID is forgotten (a racing
@@ -143,14 +122,10 @@ func (m *muxSession) doOwned(req []byte, deadline time.Time) ([]byte, *wire.Buff
 	m.pending[id] = ch
 	m.mu.Unlock()
 
-	e := wire.GetBuffer()
-	e.U8(opMuxReq)
-	e.U32(id)
-	e.B = append(e.B, req...)
+	stampRequestID(req, id)
 	m.wmu.Lock()
-	err := wire.WriteFrame(m.conn, e.B)
+	err := wire.WriteFrame(m.conn, req)
 	m.wmu.Unlock()
-	wire.PutBuffer(e)
 	if err != nil {
 		m.forget(id)
 		return nil, nil, fmt.Errorf("rpc: mux send: %w", err)
@@ -203,19 +178,17 @@ func (m *muxSession) readLoop() {
 			return
 		}
 		e.B = frame
-		if len(frame) < muxHeaderLen || frame[0] != opMuxReq {
+		if len(frame) < respHeaderLen+1 {
 			m.fail(fmt.Errorf("rpc: mux: malformed response frame (%d bytes)", len(frame)))
 			return
 		}
-		d := wire.NewReader(frame)
-		d.U8() // opMuxReq
-		id := d.U32()
+		id := binary.BigEndian.Uint32(frame)
 		m.mu.Lock()
 		ch := m.pending[id]
 		delete(m.pending, id)
 		m.mu.Unlock()
 		if ch != nil {
-			ch <- muxResult{resp: frame[muxHeaderLen:], owner: e}
+			ch <- muxResult{resp: frame[respHeaderLen:], owner: e}
 		}
 		// An unknown ID is a response to a request we already forgot
 		// (write raced the failure path); drop it and keep reading.
@@ -250,38 +223,4 @@ func (m *muxSession) broken() bool {
 func (m *muxSession) close() {
 	m.conn.Close()
 	<-m.done
-}
-
-// negotiate runs the capability handshake on a fresh connection: one
-// serial ping exchange carrying the client's capability word. It reports
-// the server's capabilities (0 from a legacy server, whose bare statusOK
-// reply carries no capability word). The deadline bounds the exchange so a
-// black-holed server cannot hang Dial forever.
-func negotiate(conn net.Conn, timeout time.Duration) (uint32, error) {
-	if timeout > 0 {
-		conn.SetDeadline(time.Now().Add(timeout))
-		defer conn.SetDeadline(time.Time{})
-	}
-	var e buffer
-	e.u8(opPing)
-	e.u32(capMux)
-	if err := writeFrame(conn, e.payload()); err != nil {
-		return 0, fmt.Errorf("rpc: handshake send: %w", err)
-	}
-	resp, err := readFrame(conn)
-	if err != nil {
-		return 0, fmt.Errorf("rpc: handshake receive: %w", err)
-	}
-	d := newReader(resp)
-	if status := d.u8(); status != statusOK {
-		return 0, fmt.Errorf("rpc: handshake status %d", status)
-	}
-	if len(resp) < 5 {
-		return 0, nil // legacy server: bare status byte, no capabilities
-	}
-	caps := d.u32()
-	if d.err() != nil {
-		return 0, nil
-	}
-	return caps, nil
 }

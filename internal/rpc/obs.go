@@ -2,8 +2,8 @@ package rpc
 
 // This file is the rpc layer's observability wiring: per-stage latency
 // histograms (internal/obs), cross-node request tracing (a compact trace
-// context carried in an optional wire envelope, recorded as span events
-// into the internal/trace ring), and a rate-limited slow-request log.
+// context carried in every request header, recorded as span events into
+// the internal/trace ring), and a rate-limited slow-request log.
 //
 // Everything is opt-in and follows the nil-recorder pattern: a server or
 // client with no registry/tracer configured takes one nil check per stage
@@ -11,24 +11,20 @@ package rpc
 // the disabled path costs ~nothing and the enabled path stays within a few
 // percent.
 //
-// # Trace envelope
+// # Trace context
 //
-// A traced request is the ordinary request frame wrapped in an envelope:
-//
-//	u8(opTraced) | i64(trace ID) | u8(hop) | inner request bytes
-//
-// The envelope carries the hop the *receiver* occupies in the chain: the
-// originating client holds hop 0 and sends hop 1; a cache node that
-// received hop h forwards peer/directory calls carrying hop h+1
-// (TraceCtx.Next). Nested envelopes are rejected — the envelope is
-// strictly top-level, so a malicious or fuzzed frame cannot recurse.
+// Every request header carries a trace ID and a hop (protocol.go); trace
+// ID 0 is an untraced request. The hop is the position the *receiver*
+// occupies in the chain: the originating client holds hop 0 and sends hop
+// 1; a cache node that received hop h forwards peer/directory calls
+// carrying hop h+1 (TraceCtx.Next).
 //
 // Span recording convention (see trace.Kind):
 //
 //	KindRPCSend  at the sender's own hop, Dur = full round trip.
 //	             Arg 0 = client GetBatch / peer read, Arg 1 = directory call.
 //	KindRPCRecv  at the receiver's hop, Dur = serve time.
-//	             Arg = batch size (GetBatch), 1 (peer get).
+//	             Arg = batch size (GetBatch or peer batch read).
 //	KindBackend  at the fetching node's hop, Dur = storage service time.
 
 import (
@@ -40,13 +36,6 @@ import (
 	"icache/internal/obs"
 	"icache/internal/trace"
 )
-
-// opTraced wraps any request in a trace-context envelope (see above).
-const opTraced = 7
-
-// tracedHeaderLen is the trace envelope's header size:
-// u8(opTraced) + i64(trace ID) + u8(hop).
-const tracedHeaderLen = 10
 
 // Stage names registered by the serving path. Every stage becomes an
 // icache_stage_<name>_seconds histogram on the Prometheus surface.
@@ -66,13 +55,9 @@ const (
 	// StageBackendQueueWait is time a backend read waited for a slot of the
 	// server's read budget (see backendReadBudget).
 	StageBackendQueueWait = "backend_queue_wait"
-	// StagePeerRPC is a remote peer-cache read, measured at the sender.
-	StagePeerRPC = "peer_rpc"
 	// StagePeerRPCBatch is one scatter-gather opPeerGetBatch round trip
 	// (many samples per RPC), measured at the sender.
 	StagePeerRPCBatch = "peer_rpc_batch"
-	// StageDirLookup is a directory ownership lookup, measured at the sender.
-	StageDirLookup = "dir_lookup"
 	// StageDirLookupBatch is one multi-lookup directory round trip
 	// (LookupBatch), measured at the sender.
 	StageDirLookupBatch = "dir_lookup_batch"
@@ -106,11 +91,10 @@ const (
 type serverObs struct {
 	reg *obs.Registry
 
-	request, policyLock, localHit, sfWait   *obs.Histogram
-	backend, peerRPC, dirLookup, prefetchWt *obs.Histogram
-	peerBatch, dirBatch                     *obs.Histogram
-	admissionWait, deadlineRem              *obs.Histogram
-	backendQueueWait                        *obs.Histogram
+	request, policyLock, localHit, sfWait *obs.Histogram
+	backend, backendQueueWait, prefetchWt *obs.Histogram
+	peerBatch, dirBatch                   *obs.Histogram
+	admissionWait, deadlineRem            *obs.Histogram
 
 	tracer *trace.Recorder
 
@@ -141,9 +125,7 @@ func (s *Server) EnableObs(reg *obs.Registry, tracer *trace.Recorder) {
 	s.obs.sfWait = reg.Hist(StageSingleflightWait)
 	s.obs.backend = reg.Hist(StageBackendFetch)
 	s.obs.backendQueueWait = reg.Hist(StageBackendQueueWait)
-	s.obs.peerRPC = reg.Hist(StagePeerRPC)
 	s.obs.peerBatch = reg.Hist(StagePeerRPCBatch)
-	s.obs.dirLookup = reg.Hist(StageDirLookup)
 	s.obs.dirBatch = reg.Hist(StageDirLookupBatch)
 	s.obs.prefetchWt = reg.Hist(StagePrefetchQueueWait)
 	s.obs.admissionWait = reg.Hist(StageAdmissionWait)
@@ -188,18 +170,6 @@ func (s *Server) maybeLogSlow(ctx obs.TraceCtx, batch int, dur time.Duration) {
 	s.Logf("rpc: slow request: batch=%d dur=%s threshold=%s", batch, dur, s.obs.slowThresh)
 }
 
-// WrapTraced wraps an encoded request frame in a trace envelope addressed
-// to the receiver: ctx must carry the hop the receiver occupies (the
-// sender passes its own context through TraceCtx.Next).
-func WrapTraced(req []byte, ctx obs.TraceCtx) []byte {
-	e := buffer{}
-	e.u8(opTraced)
-	e.i64(int64(ctx.ID))
-	e.u8(ctx.Hop)
-	e.B = append(e.B, req...)
-	return e.payload()
-}
-
 // EnableObs wires client-side observability: the round-trip histogram from
 // reg (StageClientRoundTrip), span recording into tracer, and 1-in-N
 // request tracing via sampler. Any argument may be nil. Must be called
@@ -213,7 +183,7 @@ func (c *Client) EnableObs(reg *obs.Registry, tracer *trace.Recorder, sampler *o
 
 // beginTrace decides whether this request is traced: the sampler fires and
 // a tracer exists. The returned context is at hop 0 (the client's own
-// position); the wire envelope carries Next().
+// position); the request header carries Next().
 func (c *Client) beginTrace() obs.TraceCtx {
 	if c.tracer == nil || !c.sampler.Sample() {
 		return obs.TraceCtx{}

@@ -184,7 +184,7 @@ func TestPrometheusExposition(t *testing.T) {
 	// these must expose buckets, sum/count, and quantile companions.
 	stages := []string{
 		StageRequest, StagePolicyLockHold, StageLocalHit, StageSingleflightWait,
-		StageBackendFetch, StagePeerRPC, StageDirLookup, StagePrefetchQueueWait,
+		StageBackendFetch, StagePrefetchQueueWait,
 		StageSubstitutionScan,
 	}
 	for _, st := range stages {

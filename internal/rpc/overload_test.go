@@ -1,6 +1,6 @@
 package rpc
 
-// Overload-control suite: the admission gate on both serving transports,
+// Overload-control suite: the admission gate on the serving path,
 // server-side deadline expiry, and the chaos half — a delay-faulted peer
 // whose batches must still complete within the caller's deadline via the
 // backend fallback, with the per-peer circuit breaker tripping within its
@@ -19,10 +19,12 @@ import (
 	"icache/internal/dkv"
 	"icache/internal/icache"
 	"icache/internal/leakcheck"
+	"icache/internal/obs"
 	"icache/internal/overload"
 	"icache/internal/retry"
 	"icache/internal/sampling"
 	"icache/internal/storage"
+	"icache/internal/wire"
 )
 
 // noRetryPolicy keeps conservation ledgers exact: one offered request is
@@ -60,14 +62,12 @@ func startGatedServer(t *testing.T, gate *overload.Gate) (*Server, string) {
 	return srv, ln.Addr().String()
 }
 
-// TestAdmissionShedLegacyAndMux holds the only admission slot and verifies
-// that BOTH serving transports — the multiplexed frame path and the legacy
-// one-frame-at-a-time connection path — shed data requests with a
-// retry-after hint, without the client burning retry attempts on them,
-// while health checks keep flowing. Releasing the slot restores service,
-// and the ledger stays exact: ids served + requests shed == requests
-// offered.
-func TestAdmissionShedLegacyAndMux(t *testing.T) {
+// TestAdmissionShed holds the only admission slot and verifies that the
+// serving path sheds a data request with a retry-after hint, without the
+// client burning retry attempts on it, while health checks keep flowing.
+// Releasing the slot restores service, and the ledger stays exact: ids
+// served + requests shed == requests offered.
+func TestAdmissionShed(t *testing.T) {
 	gate := overload.NewGate(overload.GateConfig{MaxInflight: 1})
 	srv, addr := startGatedServer(t, gate)
 
@@ -76,49 +76,38 @@ func TestAdmissionShedLegacyAndMux(t *testing.T) {
 		t.Fatal("could not occupy the admission slot")
 	}
 
-	for _, tc := range []struct {
-		name       string
-		disableMux bool
-	}{
-		{"mux", false},
-		{"legacy", true},
-	} {
-		c, err := DialConfigured(addr, DialConfig{Timeout: time.Second, Policy: noRetryPolicy(), DisableMux: tc.disableMux})
-		if err != nil {
-			t.Fatalf("%s: dial: %v", tc.name, err)
-		}
-		if c.Muxed() == tc.disableMux {
-			t.Fatalf("%s: wrong transport negotiated (muxed=%v)", tc.name, c.Muxed())
-		}
-		_, err = c.GetBatch([]dataset.SampleID{1})
-		var ra *overload.RetryAfterError
-		if !errors.As(err, &ra) {
-			t.Fatalf("%s: want RetryAfterError from a shedding server, got %v", tc.name, err)
-		}
-		if ra.After <= 0 {
-			t.Fatalf("%s: shed response carried no backoff hint", tc.name)
-		}
-		if retries, _ := c.Resilience(); retries != 0 {
-			t.Fatalf("%s: a shed rejection was retried %d times", tc.name, retries)
-		}
-		// An operator must still see the overloaded server: health checks
-		// bypass the gate.
-		if err := c.Ping(); err != nil {
-			t.Fatalf("%s: ping gated during shed: %v", tc.name, err)
-		}
-		c.Close()
+	c, err := DialConfigured(addr, DialConfig{Timeout: time.Second, Policy: noRetryPolicy()})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
 	}
+	_, err = c.GetBatch([]dataset.SampleID{1})
+	var ra *overload.RetryAfterError
+	if !errors.As(err, &ra) {
+		t.Fatalf("want RetryAfterError from a shedding server, got %v", err)
+	}
+	if ra.After <= 0 {
+		t.Fatal("shed response carried no backoff hint")
+	}
+	if retries, _ := c.Resilience(); retries != 0 {
+		t.Fatalf("a shed rejection was retried %d times", retries)
+	}
+	// An operator must still see the overloaded server: health checks
+	// bypass the gate.
+	if err := c.Ping(); err != nil {
+		t.Fatalf("ping gated during shed: %v", err)
+	}
+	c.Close()
 
 	shed, expired := srv.OverloadCounters()
-	if shed != 2 || expired != 0 {
-		t.Fatalf("OverloadCounters = (shed=%d, expired=%d), want (2, 0)", shed, expired)
+	if shed != 1 || expired != 0 {
+		t.Fatalf("OverloadCounters = (shed=%d, expired=%d), want (1, 0)", shed, expired)
 	}
-	if gs := gate.Stats(); gs.Shed != 2 {
-		t.Fatalf("gate shed %d, want 2", gs.Shed)
+	if gs := gate.Stats(); gs.Shed != 1 {
+		t.Fatalf("gate shed %d, want 1", gs.Shed)
 	}
 
 	gate.Done()
-	c := dial(t, addr)
+	c = dial(t, addr)
 	samples, err := c.GetBatch([]dataset.SampleID{1, 2, 3})
 	if err != nil {
 		t.Fatalf("after releasing the slot: %v", err)
@@ -127,29 +116,33 @@ func TestAdmissionShedLegacyAndMux(t *testing.T) {
 		t.Fatalf("served %d of 3", len(samples))
 	}
 
-	// Conservation: 2 shed single-id requests + 3 served ids == 5 offered.
+	// Conservation: 1 shed single-id request + 3 served ids == 4 offered.
 	// Cache counters are written under policyMu; snapshot under it too (the
 	// handler goroutine's final writes carry no cross-socket ordering the
 	// race detector can see).
 	srv.policyMu.Lock()
 	st := srv.cache.Stats()
 	srv.policyMu.Unlock()
-	if got := st.Hits + st.Misses + st.Substitutions + st.Degraded + shed + expired; got != 5 {
-		t.Fatalf("ledger: hits(%d)+misses(%d)+subs(%d)+degraded(%d)+shed(%d)+expired(%d) = %d, want 5",
+	if got := st.Hits + st.Misses + st.Substitutions + st.Degraded + shed + expired; got != 4 {
+		t.Fatalf("ledger: hits(%d)+misses(%d)+subs(%d)+degraded(%d)+shed(%d)+expired(%d) = %d, want 4",
 			st.Hits, st.Misses, st.Substitutions, st.Degraded, shed, expired, got)
 	}
 }
 
 // TestDeadlineExpiredAtServer drops a request whose budget is already spent
-// on arrival: the server answers statusExpired without touching the policy
-// engine or the backend, and counts the drop.
+// on arrival: a client sends a spent budget as 1ns, and the server answers
+// statusExpired without touching the policy engine or the backend, and
+// counts the drop.
 func TestDeadlineExpiredAtServer(t *testing.T) {
 	srv, _, source := startServer(t)
 
 	before := source.Reads()
-	resp := srv.dispatch(encodeDeadlineRequest(0, encodeGetBatchRequest([]dataset.SampleID{1, 2})))
-	if len(resp) == 0 || resp[0] != statusExpired {
-		t.Fatalf("spent budget answered status %v, want statusExpired", resp[:1])
+	var e wire.Buffer
+	appendRequestHeader(&e, opGetBatch, obs.TraceCtx{}, wireBudget(time.Now().Add(-time.Second)))
+	appendIDs(&e, []dataset.SampleID{1, 2})
+	resp, closed := serveOneFrame(t, srv, e.B)
+	if closed || resp[respHeaderLen] != statusExpired {
+		t.Fatalf("spent budget answered %x (closed=%v), want statusExpired", resp, closed)
 	}
 	if got := source.Reads() - before; got != 0 {
 		t.Fatalf("expired request still read the backend %d times", got)
@@ -297,7 +290,6 @@ func chaosDelayedPeer(t *testing.T, seed int64) {
 		go nodes[n].Serve(ln)
 	}
 	nodes[0].SetPeerConfig(PeerConfig{
-		Batch:            256,
 		RPCTimeout:       peerTimeout,
 		BreakerThreshold: brkThresh,
 		BreakerCooldown:  brkCooldown,

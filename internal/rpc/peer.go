@@ -20,8 +20,8 @@ import (
 
 // This file adds the distributed deployment of §III-E to the network
 // server: nodes share a dkv directory service (which sample lives where)
-// and answer PeerGet requests for samples they cache, so a miss on one node
-// can be served from another node's DRAM instead of the backend.
+// and answer opPeerGetBatch requests for samples they cache, so a miss on
+// one node can be served from another node's DRAM instead of the backend.
 //
 // Every remote dependency here is treated as unreliable: directory and peer
 // failures are counted, the failing peer connection is discarded (the next
@@ -30,45 +30,33 @@ import (
 //
 // # Locking contract
 //
-// Everything in this file runs OUTSIDE the server's policy lock. The old
-// single-mutex server had resolveRemote/claimOwnership "called with s.mu
-// held", dropping and reacquiring it around the network call — a contract
-// the sharded serving path makes obsolete and forbids:
+// Everything in this file runs OUTSIDE the server's policy lock:
 //
-//   - resolveRemote and claimOwnership perform directory and peer I/O and
-//     must be called with NO server lock held (the miss path calls them
-//     from inside a singleflight execution, which holds only the flight's
-//     own per-key slot).
+//   - resolveMissBatch and claimOwnership perform directory and peer I/O
+//     and must be called with NO server lock held (the miss path calls them
+//     while leading singleflight keys, which hold no lock).
 //   - distState.mu guards only the peer-connection cache. It is a leaf
 //     lock held across nothing but map access and Dial; it never nests
 //     with policyMu or payload-store shard locks.
-//   - handlePeerGet touches only the payload store (shard-locked reads)
-//     and atomics — peer reads never take policyMu and never mutate this
-//     node's cache policy state, so a peer storm cannot stall local
-//     serving decisions.
+//   - peer reads (fillPeerPinned in serve_vec.go) touch only the payload
+//     store (shard-locked reads) and atomics — they never take policyMu
+//     and never mutate this node's cache policy state, so a peer storm
+//     cannot stall local serving decisions.
 //   - releaseOwnership may be called under policyMu (the eviction
 //     observer fires it); the directory write is pushed to a goroutine so
 //     no network I/O ever happens under the lock.
 
-// opPeerGet fetches a resident sample's payload from a peer cache node.
-const opPeerGet = 6
+// peerBatchMax caps how many of a mini-batch's remote misses ride one
+// opPeerGetBatch RPC.
+const peerBatchMax = 256
 
-// PeerConfig tunes the batched remote data plane (the -peer-batch and
-// -peer-inflight flags). SetPeerConfig installs it before Serve.
+// PeerConfig tunes the remote data plane (the -peer-inflight,
+// -default-deadline and -breaker-threshold flags). SetPeerConfig installs
+// it before Serve.
 type PeerConfig struct {
-	// Batch caps how many of a mini-batch's remote misses ride one
-	// opPeerGetBatch RPC. 0 disables batching entirely: each miss takes
-	// the per-sample resolvePayload flow, fanned out as on a lone server
-	// (the "before" mode of the bench-peer comparison).
-	Batch int
-	// Inflight bounds in-flight frames per multiplexed peer connection
-	// (<= 0 selects the client default).
+	// Inflight bounds in-flight frames per peer connection (<= 0 selects
+	// the client default).
 	Inflight int
-	// LegacyPoolConns is the per-peer connection-pool size used when a
-	// peer negotiates DOWN to the legacy one-frame-at-a-time transport:
-	// a small pool recovers some concurrency that mux framing would have
-	// provided (<= 0 selects 2; mux-capable peers always use 1 connection).
-	LegacyPoolConns int
 	// RPCTimeout bounds every peer round trip (<= 0 selects 1s): one hung
 	// replica can stall a scatter-gather chunk for at most this long before
 	// the chunk degrades to the backend.
@@ -85,8 +73,7 @@ type PeerConfig struct {
 // defaultPeerConfig is what EnableDistributed installs until SetPeerConfig
 // overrides it.
 func defaultPeerConfig() PeerConfig {
-	return PeerConfig{Batch: 256, Inflight: defaultMuxInflight, LegacyPoolConns: 2,
-		RPCTimeout: defaultPeerRPCTimeout}
+	return PeerConfig{Inflight: defaultMuxInflight, RPCTimeout: defaultPeerRPCTimeout}
 }
 
 // defaultPeerRPCTimeout is the per-call bound on peer RPCs: long enough for
@@ -95,14 +82,8 @@ func defaultPeerConfig() PeerConfig {
 const defaultPeerRPCTimeout = time.Second
 
 func (c PeerConfig) withDefaults() PeerConfig {
-	if c.Batch < 0 {
-		c.Batch = 0
-	}
 	if c.Inflight <= 0 {
 		c.Inflight = defaultMuxInflight
-	}
-	if c.LegacyPoolConns <= 0 {
-		c.LegacyPoolConns = 2
 	}
 	if c.RPCTimeout <= 0 {
 		c.RPCTimeout = defaultPeerRPCTimeout
@@ -110,7 +91,7 @@ func (c PeerConfig) withDefaults() PeerConfig {
 	return c
 }
 
-// SetPeerConfig tunes the batched remote data plane. Call after
+// SetPeerConfig tunes the remote data plane. Call after
 // EnableDistributed and before Serve (the serving path reads the config
 // without synchronization). A no-op on a non-distributed server.
 func (s *Server) SetPeerConfig(cfg PeerConfig) {
@@ -118,14 +99,6 @@ func (s *Server) SetPeerConfig(cfg PeerConfig) {
 		return
 	}
 	s.dist.peerCfg = cfg.withDefaults()
-}
-
-// peerSlot is one peer's connection set: a single multiplexed client when
-// the peer speaks capMux, or a small round-robin pool of legacy clients
-// when it negotiated down.
-type peerSlot struct {
-	clients []*Client
-	next    int
 }
 
 // distState is the optional distributed wiring of a Server.
@@ -140,7 +113,7 @@ type distState struct {
 	journal *obs.Journal
 
 	mu    sync.Mutex
-	peers map[dkv.NodeID]*peerSlot
+	peers map[dkv.NodeID]*Client
 	// breakers holds one circuit breaker per peer NODE (not per client):
 	// the breaker must survive dropPeer/redial churn, or a flapping peer
 	// would reset its own failure count by breaking connections. Guarded by
@@ -179,7 +152,7 @@ func (s *Server) EnableDistributed(nodeID dkv.NodeID, dir dkv.Service, peerAddrs
 		dir:       dir,
 		peerAddrs: peerAddrs,
 		peerCfg:   defaultPeerConfig(),
-		peers:     make(map[dkv.NodeID]*peerSlot),
+		peers:     make(map[dkv.NodeID]*Client),
 		breakers:  make(map[dkv.NodeID]*overload.Breaker),
 		journal:   s.journal,
 	}
@@ -249,57 +222,36 @@ func (s *Server) ResilienceStats() (peerFailures, dirFailures int64) {
 	return atomic.LoadInt64(&s.dist.peerFailures), atomic.LoadInt64(&s.dist.dirFailures)
 }
 
-// peer returns a (cached) client connection to the given node. Peer clients
-// use the tight retry.Peer policy: degrading to the backend beats waiting.
-// A mux-capable peer is served by ONE pipelined connection; a peer that
-// negotiated down to legacy framing grows a small round-robin pool
-// (PeerConfig.LegacyPoolConns) so concurrent miss batches don't fully
-// serialize behind one in-flight frame.
+// peer returns a (cached) client connection to the given node: ONE
+// pipelined connection per peer. Peer clients use the tight retry.Peer
+// policy: degrading to the backend beats waiting.
 func (d *distState) peer(node dkv.NodeID) (*Client, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	slot, ok := d.peers[node]
-	if !ok {
-		slot = &peerSlot{}
-		d.peers[node] = slot
-	}
-	target := 1
-	if len(slot.clients) > 0 && !slot.clients[0].Muxed() {
-		target = d.peerCfg.LegacyPoolConns
-		if target < 1 {
-			target = 1
-		}
-	}
-	if len(slot.clients) < target || len(slot.clients) == 0 {
-		addr, ok := d.peerAddrs[node]
-		if !ok {
-			return nil, fmt.Errorf("rpc: no address for peer node %d", node)
-		}
-		c, err := DialConfigured(addr, DialConfig{
-			Timeout:     2 * time.Second,
-			Policy:      retry.Peer(),
-			MuxInflight: d.peerCfg.Inflight,
-			RPCTimeout:  d.peerCfg.RPCTimeout,
-			Breaker:     d.breakerLocked(node),
-		})
-		if err != nil {
-			// A failed dial is a peer failure too: report it so a DEAD peer
-			// (not just a hung one) trips its breaker and fails fast.
-			if b := d.breakerLocked(node); b != nil {
-				b.Report(time.Now(), false)
-			}
-			if len(slot.clients) > 0 {
-				// Pool growth failed; fall back to an existing connection.
-				slot.next++
-				return slot.clients[slot.next%len(slot.clients)], nil
-			}
-			return nil, err
-		}
-		slot.clients = append(slot.clients, c)
+	if c, ok := d.peers[node]; ok {
 		return c, nil
 	}
-	slot.next++
-	return slot.clients[slot.next%len(slot.clients)], nil
+	addr, ok := d.peerAddrs[node]
+	if !ok {
+		return nil, fmt.Errorf("rpc: no address for peer node %d", node)
+	}
+	c, err := DialConfigured(addr, DialConfig{
+		Timeout:     2 * time.Second,
+		Policy:      retry.Peer(),
+		MuxInflight: d.peerCfg.Inflight,
+		RPCTimeout:  d.peerCfg.RPCTimeout,
+		Breaker:     d.breakerLocked(node),
+	})
+	if err != nil {
+		// A failed dial is a peer failure too: report it so a DEAD peer
+		// (not just a hung one) trips its breaker and fails fast.
+		if b := d.breakerLocked(node); b != nil {
+			b.Report(time.Now(), false)
+		}
+		return nil, err
+	}
+	d.peers[node] = c
+	return c, nil
 }
 
 // isConnFailure reports whether a peer RPC error indicates a poisoned
@@ -314,16 +266,8 @@ func isConnFailure(err error) bool {
 // request re-dials instead of reusing a poisoned connection.
 func (d *distState) dropPeer(node dkv.NodeID, c *Client) {
 	d.mu.Lock()
-	if slot, ok := d.peers[node]; ok {
-		for i, cur := range slot.clients {
-			if cur == c {
-				slot.clients = append(slot.clients[:i], slot.clients[i+1:]...)
-				break
-			}
-		}
-		if len(slot.clients) == 0 {
-			delete(d.peers, node)
-		}
+	if d.peers[node] == c {
+		delete(d.peers, node)
 	}
 	d.mu.Unlock()
 	c.Close()
@@ -333,182 +277,42 @@ func (d *distState) dropPeer(node dkv.NodeID, c *Client) {
 func (d *distState) closePeers() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, slot := range d.peers {
-		for _, c := range slot.clients {
-			c.Close()
-		}
+	for _, c := range d.peers {
+		c.Close()
 	}
-	d.peers = make(map[dkv.NodeID]*peerSlot)
+	d.peers = make(map[dkv.NodeID]*Client)
 }
 
-// PeerGet asks a cache node for a resident sample's payload. The second
-// return reports whether the node had it; a miss is not an error (the
-// caller falls back to the backend).
-func (c *Client) PeerGet(id dataset.SampleID) ([]byte, bool, error) {
-	return c.PeerGetCtx(id, obs.TraceCtx{})
-}
-
-// PeerGetCtx is PeerGet carrying a trace context addressed to the peer
-// (the caller passes its own context's Next()). A zero context sends the
-// plain, envelope-free request.
-func (c *Client) PeerGetCtx(id dataset.SampleID, ctx obs.TraceCtx) ([]byte, bool, error) {
-	return c.PeerGetDeadline(id, ctx, time.Time{})
-}
-
-// PeerGetDeadline is PeerGetCtx bounded by the originating request's
-// deadline: the remaining budget rides a deadline envelope so the peer can
-// drop the read server-side once it is unservable, and the local wait is
-// cut off at the same instant. A zero deadline falls back to the client's
-// configured RPCTimeout.
-func (c *Client) PeerGetDeadline(id dataset.SampleID, ctx obs.TraceCtx, dl time.Time) ([]byte, bool, error) {
-	var e buffer
-	e.u8(opPeerGet)
-	e.i64(int64(id))
-	req := e.payload()
-	if ctx.Valid() {
-		req = WrapTraced(req, ctx)
-	}
-	if budget, ok := remainingBudget(dl, time.Now()); ok {
-		req = encodeDeadlineRequest(budget, req)
-	}
-	// The pooled response buffer is intentionally dropped, not recycled:
-	// the payload is handed out by reference with an unbounded lifetime.
-	d, _, err := c.roundTripDeadline(req, c.tightenDeadline(dl))
-	if err != nil {
-		return nil, false, err
-	}
-	if d.u8() == 0 {
-		return nil, false, d.err()
-	}
-	payload := d.bytes()
-	return payload, true, d.err()
-}
-
-// handlePeerGet serves opPeerGet: payload-store lookup only — peer reads
-// must not mutate this node's cache policy state, and they never take
-// policyMu (shard read lock only). Traced peer reads record a KindRPCRecv
-// span at this node's hop.
-func (s *Server) handlePeerGet(d *reader, e *buffer, ctx obs.TraceCtx) {
-	var t0 time.Time
-	if s.obs.tracing(ctx) {
-		t0 = time.Now()
-	}
-	id := dataset.SampleID(d.i64())
-	if err := d.err(); err != nil {
-		encodeErrorResponseInto(e, err.Error())
-		return
-	}
-	payload, ok := s.payloads.get(id)
-	if ok && s.dist != nil {
-		atomic.AddInt64(&s.dist.peerServes, 1)
-	}
-	e.u8(statusOK)
-	if !ok {
-		e.u8(0)
-	} else {
-		e.u8(1)
-		e.bytes(payload)
-	}
-	if !t0.IsZero() {
-		s.span(trace.KindRPCRecv, id, 1, ctx, time.Since(t0))
-	}
-}
-
-// PeerGetBatch asks a peer cache node for many resident samples in one
-// round trip. The result is aligned with ids: out[i] is the payload when
-// the peer had ids[i], nil when it did not (a peer miss is not an error).
-// Against a peer that negotiated down to the legacy transport the call
-// degrades to serial per-sample PeerGet round trips — mixed-version
-// clusters lose the batching win but keep working.
-func (c *Client) PeerGetBatch(ids []dataset.SampleID, ctx obs.TraceCtx) ([][]byte, error) {
-	return c.PeerGetBatchDeadline(ids, ctx, time.Time{})
-}
-
-// PeerGetBatchDeadline is PeerGetBatch bounded by the originating request's
-// deadline (see PeerGetDeadline). A zero deadline falls back to the
-// client's configured RPCTimeout.
-func (c *Client) PeerGetBatchDeadline(ids []dataset.SampleID, ctx obs.TraceCtx, dl time.Time) ([][]byte, error) {
+// peerGetBatch asks a peer cache node for many resident samples in one
+// round trip, carrying the originating request's trace context (addressed
+// to the peer) and deadline: the remaining budget rides the request header
+// so the peer can drop the read once it is unservable, and the local wait
+// is cut off at the same instant (a zero deadline falls back to the
+// client's configured RPCTimeout). The result is aligned with ids: out[i]
+// is the payload when the peer had ids[i], nil when it did not (a peer
+// miss is not an error).
+func (c *Client) peerGetBatch(ids []dataset.SampleID, tc obs.TraceCtx, dl time.Time) ([][]byte, error) {
 	if len(ids) == 0 {
 		return nil, nil
 	}
-	if !c.Muxed() {
-		// Negotiated down (the peer predates opPeerGetBatch) or pinned to
-		// the legacy transport by DisableMux: per-sample round trips.
-		return c.peerGetBatchSerial(ids, ctx, dl)
-	}
-	req := encodePeerGetBatchRequest(ids)
-	if ctx.Valid() {
-		req = WrapTraced(req, ctx)
-	}
-	if budget, ok := remainingBudget(dl, time.Now()); ok {
-		req = encodeDeadlineRequest(budget, req)
-	}
 	// Payloads are handed out by reference, so the pooled response buffer
 	// is dropped rather than recycled (same contract as roundTrip).
-	d, _, err := c.roundTripDeadline(req, c.tightenDeadline(dl))
+	d, _, err := c.roundTripDeadline(encodePeerGetBatchRequest(ids, tc, wireBudget(dl)), c.tightenDeadline(dl))
 	if err != nil {
 		return nil, err
 	}
 	return decodePeerGetBatchResponse(d, len(ids))
 }
 
-// peerGetBatchSerial is the interop fallback: one legacy round trip per id.
-func (c *Client) peerGetBatchSerial(ids []dataset.SampleID, ctx obs.TraceCtx, dl time.Time) ([][]byte, error) {
-	out := make([][]byte, len(ids))
-	for i, id := range ids {
-		p, ok, err := c.PeerGetDeadline(id, ctx, dl)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out[i] = p
-		}
-	}
-	return out, nil
-}
-
-// handlePeerGetBatch serves opPeerGetBatch: per-id payload-store lookups
-// only — exactly handlePeerGet's contract (never policyMu, never a cache
-// mutation), amortized over one frame. Response entries align with the
-// request ids.
-func (s *Server) handlePeerGetBatch(d *reader, e *buffer, ctx obs.TraceCtx) {
-	var t0 time.Time
-	if s.obs.tracing(ctx) {
-		t0 = time.Now()
-	}
-	ids, err := decodePeerGetBatchRequest(d)
-	if err != nil {
-		encodeErrorResponseInto(e, err.Error())
-		return
-	}
-	e.u8(statusOK)
-	e.u32(uint32(len(ids)))
-	served := 0
-	for _, id := range ids {
-		if payload, ok := s.payloads.get(id); ok {
-			e.u8(1)
-			e.bytes(payload)
-			served++
-		} else {
-			e.u8(0)
-		}
-	}
-	if served > 0 && s.dist != nil {
-		atomic.AddInt64(&s.dist.peerServes, int64(served))
-	}
-	if !t0.IsZero() {
-		s.span(trace.KindRPCRecv, 0, int64(len(ids)), ctx, time.Since(t0))
-	}
-}
-
 // resolveMissBatch is the scatter-gather heart of the batched miss path:
 // it resolves every singleflight key this request leads, using one
 // directory multi-lookup and one batched peer RPC per owning node, and
 // GUARANTEES every key is finished exactly once on all paths (a leaked
-// leader key would deadlock every waiter). Called with no server lock
-// held; all peer/directory I/O happens outside locks per the contract at
-// the top of this file.
-func (s *Server) resolveMissBatch(ids []dataset.SampleID, calls map[dataset.SampleID]*singleflight.Call, ctx obs.TraceCtx, dl time.Time) {
+// leader key would deadlock every waiter). prov is the admission
+// provenance of backend reads: prefetch resolutions never count as demand
+// fetches. Called with no server lock held; all peer/directory I/O happens
+// outside locks per the contract at the top of this file.
+func (s *Server) resolveMissBatch(ids []dataset.SampleID, calls map[dataset.SampleID]*singleflight.Call, ctx obs.TraceCtx, dl time.Time, prov admitProv) {
 	finish := func(id dataset.SampleID, p []byte, err error) {
 		s.flight.Finish(int64(id), calls[id], p, err)
 	}
@@ -528,8 +332,7 @@ func (s *Server) resolveMissBatch(ids []dataset.SampleID, calls map[dataset.Samp
 	}
 
 	// One directory round trip answers ownership for the whole batch. A
-	// directory failure degrades every id to a backend read (counted), the
-	// same way a failed per-sample Lookup used to.
+	// directory failure degrades every id to a backend read (counted).
 	dist := s.dist
 	owners := s.dirLookupBatch(dist, remaining, ctx, dl)
 
@@ -543,17 +346,16 @@ func (s *Server) resolveMissBatch(ids []dataset.SampleID, calls map[dataset.Samp
 		}
 	}
 
-	// Scatter: one goroutine per owning node (chunked at PeerConfig.Batch),
+	// Scatter: one goroutine per owning node (chunked at peerBatchMax),
 	// so peer RPC count per mini-batch is O(owning nodes), not O(misses).
 	// Each chunk's remote hits are finished as soon as that peer answers;
 	// its misses and failures join the backend fallback list.
 	var wg sync.WaitGroup
 	var fbMu sync.Mutex
 	var fallback []dataset.SampleID
-	batchCap := dist.peerCfg.Batch
 	for node, group := range groups {
-		for start := 0; start < len(group); start += batchCap {
-			end := start + batchCap
+		for start := 0; start < len(group); start += peerBatchMax {
+			end := start + peerBatchMax
 			if end > len(group) {
 				end = len(group)
 			}
@@ -581,8 +383,10 @@ func (s *Server) resolveMissBatch(ids []dataset.SampleID, calls map[dataset.Samp
 			finish(id, nil, err)
 			continue
 		}
-		atomic.AddInt64(&s.demandFetches, 1)
-		s.admit(id, p, provFetch)
+		if prov != provPrefetch {
+			atomic.AddInt64(&s.demandFetches, 1)
+		}
+		s.admit(id, p, prov)
 		finish(id, p, nil)
 	}
 }
@@ -590,9 +394,8 @@ func (s *Server) resolveMissBatch(ids []dataset.SampleID, calls map[dataset.Samp
 // peerFetchBatch issues one opPeerGetBatch RPC to node for ids, finishing
 // the singleflight key of every sample the peer returned (after dropping
 // any local duplicate copies under one policyMu hold — the no-duplication
-// hygiene of the serial path, amortized). It returns the ids the peer did
-// NOT satisfy; any transport failure degrades the whole chunk to the
-// backend, exactly like a failed per-sample PeerGet.
+// hygiene, amortized over the chunk). It returns the ids the peer did NOT
+// satisfy; any transport failure degrades the whole chunk to the backend.
 func (s *Server) peerFetchBatch(node dkv.NodeID, ids []dataset.SampleID, calls map[dataset.SampleID]*singleflight.Call, ctx obs.TraceCtx, dl time.Time) []dataset.SampleID {
 	dist := s.dist
 	// An already-spent budget skips the peer RPC outright — the backend
@@ -614,7 +417,7 @@ func (s *Server) peerFetchBatch(node dkv.NodeID, ids []dataset.SampleID, calls m
 	if measure {
 		t0 = time.Now()
 	}
-	res, err := peer.PeerGetBatchDeadline(ids, ctx.Next(), dl)
+	res, err := peer.peerGetBatch(ids, ctx.Next(), dl)
 	if measure {
 		dur := time.Since(t0)
 		s.obs.peerBatch.Record(dur)
@@ -704,85 +507,6 @@ func (s *Server) PeerBatchStats() (rpcs, samples int64) {
 		return 0, 0
 	}
 	return atomic.LoadInt64(&s.dist.peerBatchRPCs), atomic.LoadInt64(&s.dist.peerBatchSamples)
-}
-
-// resolveRemote tries to serve a payload from the owning peer's cache.
-// Any failure along the way — directory unreachable, peer dial failure,
-// peer read failure — is counted and degrades to (nil, false), which sends
-// the caller to the backend. Must be called with no server lock held (see
-// the locking contract at the top of this file). ctx traces the directory
-// lookup and peer read as KindRPCSend spans at this node's hop; both are
-// also timed into the dir_lookup / peer_rpc stage histograms — including
-// failed attempts, since slow failures are exactly what an operator hunts.
-func (s *Server) resolveRemote(id dataset.SampleID, ctx obs.TraceCtx, dl time.Time) ([]byte, bool) {
-	dist := s.dist
-	if dist == nil {
-		return nil, false
-	}
-	if !dl.IsZero() && !time.Now().Before(dl) {
-		return nil, false // budget spent: straight to the backend
-	}
-	measure := s.obs.histsOn() || s.obs.tracing(ctx)
-
-	var t0 time.Time
-	if measure {
-		t0 = time.Now()
-	}
-	owner, found, err := s.dirLookup(dist, id, ctx)
-	if measure {
-		dur := time.Since(t0)
-		s.obs.dirLookup.Record(dur)
-		s.span(trace.KindRPCSend, id, spanArgDir, ctx, dur)
-	}
-	if err != nil {
-		atomic.AddInt64(&dist.dirFailures, 1)
-		return nil, false
-	}
-	if !found || owner == dist.nodeID {
-		return nil, false
-	}
-	peer, err := dist.peer(owner)
-	if err != nil {
-		atomic.AddInt64(&dist.peerFailures, 1)
-		return nil, false
-	}
-	var t1 time.Time
-	if measure {
-		t1 = time.Now()
-	}
-	payload, ok, err := peer.PeerGetDeadline(id, ctx.Next(), dl)
-	if measure {
-		dur := time.Since(t1)
-		s.obs.peerRPC.Record(dur)
-		s.span(trace.KindRPCSend, id, spanArgPeer, ctx, dur)
-	}
-	if err != nil {
-		atomic.AddInt64(&dist.peerFailures, 1)
-		if isConnFailure(err) {
-			dist.dropPeer(owner, peer)
-		}
-		return nil, false
-	}
-	if !ok {
-		return nil, false
-	}
-	atomic.AddInt64(&dist.peerHits, 1)
-	return payload, true
-}
-
-// dirLookup asks the directory who owns id, forwarding the trace context
-// when both the request is traced and the directory service supports it
-// (*dkv.DirClient does; in-process and fault-injecting directories fall
-// back to the plain lookup).
-func (s *Server) dirLookup(dist *distState, id dataset.SampleID, ctx obs.TraceCtx) (dkv.NodeID, bool, error) {
-	if ctx.Valid() {
-		if td, ok := dist.dir.(interface {
-			LookupTraced(dataset.SampleID, obs.TraceCtx) (dkv.NodeID, bool, error)
-		}); ok {
-			return td.LookupTraced(id, ctx.Next())
-		}
-	}
-	return dist.dir.Lookup(id)
 }
 
 // claimOwnership registers this node in the directory for a sample it just

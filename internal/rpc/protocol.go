@@ -5,78 +5,77 @@
 // paper names — fetching batches (rpc_loader) and pushing importance values
 // (update_ipersample) — plus epoch-boundary and stats calls.
 //
-// Frame layout: a 4-byte big-endian payload length, then the payload. The
-// payload's first byte is the opcode; the rest is the opcode-specific body.
-// All integers are big-endian; floats are IEEE-754 bits.
+// Every frame is a 4-byte big-endian payload length, then the payload. A
+// request payload opens with one fixed header, then the opcode's body:
+//
+//	u8 op | u32 reqID | u64 traceID | u8 hop | i64 budgetNanos | body
+//
+// A response payload echoes the request ID:
+//
+//	u32 reqID | u8 status | body
+//
+// The request ID lets one connection carry many requests at once: the
+// server dispatches each frame on its own goroutine and answers in
+// completion order, and the client's demux reader matches answers to
+// callers (mux.go). Trace ID 0 means untraced, and then the hop must be 0;
+// otherwise the hop is the position the receiver occupies in the trace
+// chain. The budget is the remaining time the caller will wait, re-anchored
+// at every hop so clocks never need to agree; 0 means no deadline and a
+// negative budget is rejected. All integers are big-endian; floats are
+// IEEE-754 bits.
 package rpc
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"time"
 
 	"icache/internal/dataset"
+	"icache/internal/obs"
 	"icache/internal/sampling"
 	"icache/internal/wire"
 )
 
-// Opcodes. opPeerGet (= 6) lives in peer.go and opTraced (= 7) in obs.go.
+// Opcodes. Numbers 6, 7, 9 and 10 belonged to retired request kinds
+// (per-sample peer read, trace envelope, mux envelope, deadline envelope);
+// they are answered as unknown opcodes and must not be reused.
 const (
 	opGetBatch         = 1 // the paper's rpc_loader
 	opUpdateImportance = 2 // the paper's update_ipersample
 	opStats            = 3
 	opBeginEpoch       = 4
 	opPing             = 5
-	// opPeerGetBatch fetches many resident samples from a peer cache in ONE
-	// round trip — the scatter-gather replacement for per-sample opPeerGet.
-	// Request: u8 opcode | u32 n | n × i64 id. Response: statusOK | u32 n |
+	// opPeerGetBatch fetches many resident samples from a peer cache in one
+	// round trip. Body: u32 n | n × i64 id. Response body: u32 n |
 	// n × (u8 found | bytes payload-if-found), aligned with the request.
 	opPeerGetBatch = 8
-	// opMuxReq is the multiplexed-framing envelope: u8 opcode | u32 reqID |
-	// inner request bytes. The response frame echoes the envelope
-	// (u8 opMuxReq | u32 reqID | status+body) so a demux reader can match
-	// out-of-order responses back to their callers. Only clients that
-	// negotiated capMux over opPing send it; see mux.go.
-	opMuxReq = 9
-	// opDeadline is the deadline-budget envelope: u8 opcode | i64 budget
-	// nanoseconds | inner request bytes. The budget is the REMAINING time
-	// the client is willing to wait, re-encoded (decremented) at every hop,
-	// so clocks never need to agree across machines. It sits inside any mux
-	// envelope and outside any opTraced envelope; nesting another deadline
-	// is rejected. A server that cannot finish in time answers
-	// statusExpired without touching the cache. Responses carry no deadline.
-	opDeadline = 10
 	// opEpochPlan is the clairvoyant epoch boundary: opBeginEpoch plus the
 	// epoch's known access sequence, pushed in first-access order by a
-	// client whose IIS sampler has already drawn the schedule. Request:
-	// u8 opcode | u32 epoch | u32 n | n × i64 id. The server performs the
-	// normal epoch-boundary duties and — when clairvoyant planning is
-	// enabled — installs the sequence as the epoch's prefetch plan (see
-	// plan.go). A non-clairvoyant server still crosses the boundary and
-	// answers statusOK, so callers need no capability negotiation.
+	// client whose IIS sampler has already drawn the schedule. Body:
+	// u32 epoch | u32 n | n × i64 id. The server performs the normal
+	// epoch-boundary duties and — when clairvoyant planning is enabled —
+	// installs the sequence as the epoch's prefetch plan (see plan.go). A
+	// non-clairvoyant server still crosses the boundary and answers
+	// statusOK.
 	opEpochPlan = 11
 	// opPlanPreplace routes plan entries to their future owner: the sending
 	// planner decided (by rendezvous over the membership) that the receiver
 	// should hold these samples, and the receiver folds them into its own
 	// plan, admitting and fetching them through its own budgeted drain.
-	// Request: u8 opcode | u32 n | n × i64 id. Response: statusOK |
-	// u32 accepted (0 when the receiver has no planner).
+	// Body: u32 n | n × i64 id. Response body: u32 accepted (0 when the
+	// receiver has no planner).
 	opPlanPreplace = 12
 )
 
-// Capability bits negotiated over opPing. A post-PR-5 client appends
-// u32(its caps) to the ping request; a post-PR-5 server echoes u32(its
-// caps) after statusOK. Legacy peers ignore the extra request bytes and
-// send the bare 1-byte response, which reads as "no capabilities" — the
-// negotiation degrades silently in mixed-version clusters.
-const (
-	// capMux: the peer speaks opMuxReq framing AND opPeerGetBatch (both
-	// shipped together, so one bit covers the batched+pipelined data plane).
-	capMux uint32 = 1 << 0
-)
+// reqHeaderLen is the fixed request header: op, request ID, trace ID, hop
+// and deadline budget.
+const reqHeaderLen = 1 + 4 + 8 + 1 + 8
 
-// muxHeaderLen is the opMuxReq envelope size: opcode byte + u32 request ID.
-const muxHeaderLen = 5
+// respHeaderLen is the response prefix in front of the status byte: the
+// echoed request ID.
+const respHeaderLen = 4
 
 // Response status codes.
 const (
@@ -90,6 +89,81 @@ const (
 	// before the server started (or finished) the work; the body is empty.
 	statusExpired = 3
 )
+
+// appendRequestHeader starts a request in e. The request ID is left 0: the
+// transport stamps it per attempt (stampRequestID). An invalid trace
+// context is sent as the untraced (0, 0).
+func appendRequestHeader(e *wire.Buffer, op byte, tc obs.TraceCtx, budget time.Duration) {
+	if !tc.Valid() {
+		tc = obs.TraceCtx{}
+	}
+	e.U8(op)
+	e.U32(0)
+	e.I64(int64(tc.ID))
+	e.U8(tc.Hop)
+	e.I64(int64(budget))
+}
+
+// stampRequestID writes id into an encoded request's header.
+func stampRequestID(req []byte, id uint32) { binary.BigEndian.PutUint32(req[1:5], id) }
+
+// newRequest starts an untraced, unbounded request; callers append the body.
+func newRequest(op byte) *buffer {
+	e := &buffer{}
+	appendRequestHeader(&e.Buffer, op, obs.TraceCtx{}, 0)
+	return e
+}
+
+// wireBudget converts an absolute deadline into the budget a request
+// carries: 0 for no deadline, and at least 1ns otherwise — an already
+// spent budget is still sent, so the server answers statusExpired rather
+// than the caller silently dropping the call.
+func wireBudget(deadline time.Time) time.Duration {
+	if deadline.IsZero() {
+		return 0
+	}
+	if b := time.Until(deadline); b > 0 {
+		return b
+	}
+	return 1
+}
+
+// requestHeader is a decoded request header.
+type requestHeader struct {
+	op       byte
+	id       uint32
+	trace    obs.TraceCtx
+	deadline time.Time // zero: no deadline
+}
+
+// errShortHeader rejects a frame too short to hold the request header. Its
+// request ID cannot be trusted, so the server closes the connection rather
+// than answer.
+var errShortHeader = errors.New("rpc: request frame shorter than its header")
+
+// decodeRequestHeader splits a request frame into its header and body. The
+// budget is anchored at now. Any error but errShortHeader comes with a
+// valid h.id, so it can be answered in-band.
+func decodeRequestHeader(req []byte, now time.Time) (h requestHeader, body []byte, err error) {
+	if len(req) < reqHeaderLen {
+		return h, nil, errShortHeader
+	}
+	d := wire.NewReader(req)
+	h.op = d.U8()
+	h.id = d.U32()
+	h.trace = obs.TraceCtx{ID: uint64(d.I64()), Hop: d.U8()}
+	budget := d.I64()
+	if budget < 0 {
+		return h, nil, fmt.Errorf("rpc: negative deadline budget %d", budget)
+	}
+	if h.trace.ID == 0 && h.trace.Hop != 0 {
+		return h, nil, fmt.Errorf("rpc: hop %d without a trace id", h.trace.Hop)
+	}
+	if budget > 0 {
+		h.deadline = now.Add(time.Duration(budget))
+	}
+	return h, req[reqHeaderLen:], nil
+}
 
 // writeFrame and readFrame delegate to the shared wire framing.
 func writeFrame(w io.Writer, payload []byte) error { return wire.WriteFrame(w, payload) }
@@ -120,18 +194,19 @@ func (d *reader) bytes() []byte { return d.BytesField() }
 func (d *reader) str() string   { return d.Str() }
 func (d *reader) err() error    { return d.Err }
 
-// rest returns the undecoded remainder of the payload (aliasing it) — the
-// inner request bytes of an opTraced envelope.
-func (d *reader) rest() []byte { return d.B[d.Off:] }
-
-// encodeGetBatchRequest/decode pair.
-func encodeGetBatchRequest(ids []dataset.SampleID) []byte {
-	var e buffer
-	e.u8(opGetBatch)
-	e.u32(uint32(len(ids)))
+// appendIDs appends the id-list body shared by opGetBatch, opPeerGetBatch,
+// opEpochPlan and opPlanPreplace: u32 n | n × i64 id.
+func appendIDs(e *wire.Buffer, ids []dataset.SampleID) {
+	e.U32(uint32(len(ids)))
 	for _, id := range ids {
-		e.i64(int64(id))
+		e.I64(int64(id))
 	}
+}
+
+// encodeGetBatchRequest encodes an untraced, unbounded GetBatch request.
+func encodeGetBatchRequest(ids []dataset.SampleID) []byte {
+	e := newRequest(opGetBatch)
+	appendIDs(&e.Buffer, ids)
 	return e.payload()
 }
 
@@ -153,20 +228,13 @@ func decodeGetBatchRequestInto(d *reader, dst []dataset.SampleID) ([]dataset.Sam
 	return dst, d.err()
 }
 
-// encodePeerGetBatchRequest/decode pair. The request body is identical in
-// shape to opGetBatch (u32 count + ids) and shares its size guard.
-func encodePeerGetBatchRequest(ids []dataset.SampleID) []byte {
+// encodePeerGetBatchRequest encodes an opPeerGetBatch request carrying the
+// originating request's trace context (addressed to the peer) and budget.
+func encodePeerGetBatchRequest(ids []dataset.SampleID, tc obs.TraceCtx, budget time.Duration) []byte {
 	var e buffer
-	e.u8(opPeerGetBatch)
-	e.u32(uint32(len(ids)))
-	for _, id := range ids {
-		e.i64(int64(id))
-	}
+	appendRequestHeader(&e.Buffer, opPeerGetBatch, tc, budget)
+	appendIDs(&e.Buffer, ids)
 	return e.payload()
-}
-
-func decodePeerGetBatchRequest(d *reader) ([]dataset.SampleID, error) {
-	return decodeGetBatchRequest(d) // same layout, same "unreasonable batch size" guard
 }
 
 // decodePeerGetBatchResponse decodes the per-id results of an
@@ -197,13 +265,9 @@ func decodePeerGetBatchResponse(d *reader, want int) ([][]byte, error) {
 // id-list layout and size guard (an IIS schedule is at most one pass over
 // the dataset, well under the guard for every spec this repo ships).
 func encodeEpochPlanRequest(epoch int, ids []dataset.SampleID) []byte {
-	var e buffer
-	e.u8(opEpochPlan)
+	e := newRequest(opEpochPlan)
 	e.u32(uint32(epoch))
-	e.u32(uint32(len(ids)))
-	for _, id := range ids {
-		e.i64(int64(id))
-	}
+	appendIDs(&e.Buffer, ids)
 	return e.payload()
 }
 
@@ -213,19 +277,12 @@ func decodeEpochPlanRequest(d *reader) (epoch uint32, ids []dataset.SampleID, er
 	return epoch, ids, err
 }
 
-// encodePlanPreplaceRequest/decode pair: the id-list layout again.
+// encodePlanPreplaceRequest: the id-list layout again (decoded with
+// decodeGetBatchRequest).
 func encodePlanPreplaceRequest(ids []dataset.SampleID) []byte {
-	var e buffer
-	e.u8(opPlanPreplace)
-	e.u32(uint32(len(ids)))
-	for _, id := range ids {
-		e.i64(int64(id))
-	}
+	e := newRequest(opPlanPreplace)
+	appendIDs(&e.Buffer, ids)
 	return e.payload()
-}
-
-func decodePlanPreplaceRequest(d *reader) ([]dataset.SampleID, error) {
-	return decodeGetBatchRequest(d)
 }
 
 // Sample is one delivered sample on the wire: the ID actually served (which
@@ -233,24 +290,6 @@ func decodePlanPreplaceRequest(d *reader) ([]dataset.SampleID, error) {
 type Sample struct {
 	ID      dataset.SampleID
 	Payload []byte
-}
-
-func encodeGetBatchResponse(samples []Sample) []byte {
-	var e buffer
-	encodeGetBatchResponseInto(&e, samples)
-	return e.payload()
-}
-
-// encodeGetBatchResponseInto appends the response into e (the serving loop
-// passes a pooled buffer here; payload bytes are copied into it, so the
-// buffer owns everything it frames).
-func encodeGetBatchResponseInto(e *buffer, samples []Sample) {
-	e.u8(statusOK)
-	e.u32(uint32(len(samples)))
-	for _, s := range samples {
-		e.i64(int64(s.ID))
-		e.bytes(s.Payload)
-	}
 }
 
 func decodeGetBatchResponse(d *reader) ([]Sample, error) {
@@ -277,8 +316,7 @@ func decodeGetBatchResponseInto(d *reader, dst []Sample) ([]Sample, error) {
 }
 
 func encodeUpdateImportanceRequest(items []sampling.Item) []byte {
-	var e buffer
-	e.u8(opUpdateImportance)
+	e := newRequest(opUpdateImportance)
 	e.u32(uint32(len(items)))
 	for _, it := range items {
 		e.i64(int64(it.ID))
@@ -308,15 +346,8 @@ type Stats struct {
 	LCacheLen     int64
 	Packages      int64
 	// DemandFetches counts backend reads issued on the demand path (cold
-	// misses). Appended to the wire response as an optional trailing field:
-	// pre-plan servers don't send it and pre-plan clients don't read it.
+	// misses).
 	DemandFetches int64
-}
-
-func encodeStatsResponse(s Stats) []byte {
-	var e buffer
-	encodeStatsResponseInto(&e, s)
-	return e.payload()
 }
 
 func encodeStatsResponseInto(e *buffer, s Stats) {
@@ -327,6 +358,7 @@ func encodeStatsResponseInto(e *buffer, s Stats) {
 	e.i64(s.HCacheLen)
 	e.i64(s.LCacheLen)
 	e.i64(s.Packages)
+	e.i64(s.DemandFetches)
 }
 
 func decodeStatsResponse(d *reader) (Stats, error) {
@@ -337,22 +369,9 @@ func decodeStatsResponse(d *reader) (Stats, error) {
 		HCacheLen:     d.i64(),
 		LCacheLen:     d.i64(),
 		Packages:      d.i64(),
-	}
-	// Optional trailing DemandFetches field (servers with the planner wired
-	// in append it; older servers end the frame here).
-	if err := d.err(); err != nil {
-		return s, err
-	}
-	if len(d.rest()) >= 8 {
-		s.DemandFetches = d.i64()
+		DemandFetches: d.i64(),
 	}
 	return s, d.err()
-}
-
-func encodeErrorResponse(msg string) []byte {
-	var e buffer
-	encodeErrorResponseInto(&e, msg)
-	return e.payload()
 }
 
 func encodeErrorResponseInto(e *buffer, msg string) {
@@ -360,72 +379,8 @@ func encodeErrorResponseInto(e *buffer, msg string) {
 	e.str(msg)
 }
 
-// deadlineHeaderLen is the opDeadline envelope size: opcode byte + i64
-// budget nanoseconds.
-const deadlineHeaderLen = 9
-
-// encodeDeadlineRequest wraps an encoded inner request in the opDeadline
-// envelope carrying the remaining budget. Budgets <= 0 are clamped to 1ns
-// (an expired budget is still sent so the server answers statusExpired
-// rather than the client silently dropping the call).
-func encodeDeadlineRequest(budget time.Duration, inner []byte) []byte {
-	if budget <= 0 {
-		budget = 1
-	}
-	e := buffer{wire.Buffer{B: make([]byte, 0, deadlineHeaderLen+len(inner))}}
-	e.u8(opDeadline)
-	e.i64(int64(budget))
-	e.bytesRaw(inner)
-	return e.payload()
-}
-
-// bytesRaw appends raw bytes with no length prefix (envelope bodies carry
-// their own framing).
-func (e *buffer) bytesRaw(v []byte) { e.Buffer.B = append(e.Buffer.B, v...) }
-
-// peelDeadline strips one leading opDeadline envelope from payload,
-// returning the inner request and the hop's absolute deadline computed
-// from now. ok=false with a nil error means there was no envelope (the
-// payload is returned untouched); a non-nil error means the envelope was
-// malformed or nested.
-func peelDeadline(payload []byte, now time.Time) (inner []byte, deadline time.Time, ok bool, err error) {
-	if len(payload) == 0 || payload[0] != opDeadline {
-		return payload, time.Time{}, false, nil
-	}
-	if len(payload) < deadlineHeaderLen+1 {
-		return nil, time.Time{}, false, fmt.Errorf("rpc: truncated deadline envelope (%d bytes)", len(payload))
-	}
-	d := newReader(payload)
-	d.u8()
-	budget := d.i64()
-	inner = d.rest()
-	if budget <= 0 {
-		return nil, time.Time{}, false, fmt.Errorf("rpc: non-positive deadline budget %d", budget)
-	}
-	if inner[0] == opDeadline {
-		return nil, time.Time{}, false, fmt.Errorf("rpc: nested deadline envelope rejected")
-	}
-	return inner, now.Add(time.Duration(budget)), true, nil
-}
-
 // encodeRetryAfterResponseInto writes the admission gate's shed rejection.
 func encodeRetryAfterResponseInto(e *buffer, after time.Duration) {
 	e.u8(statusRetryAfter)
 	e.i64(int64(after))
-}
-
-// encodeExpiredResponseInto writes the deadline-exceeded rejection.
-func encodeExpiredResponseInto(e *buffer) {
-	e.u8(statusExpired)
-}
-
-// remainingBudget converts an absolute deadline back into the budget a
-// downstream hop should be given (zero deadline = no bound, 0 budget).
-// Expired deadlines report a negative remainder so callers can drop the
-// work instead of issuing a doomed call.
-func remainingBudget(deadline, now time.Time) (time.Duration, bool) {
-	if deadline.IsZero() {
-		return 0, false
-	}
-	return deadline.Sub(now), true
 }

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net"
@@ -232,27 +233,36 @@ func TestMalformedFrameRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	exchange := func(req []byte) []byte {
+		t.Helper()
+		if err := writeFrame(conn, req); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := readFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp) < respHeaderLen+1 || !bytes.Equal(resp[:respHeaderLen], req[1:1+respHeaderLen]) {
+			t.Fatalf("response %x does not echo the request ID", resp)
+		}
+		return resp[respHeaderLen:]
+	}
 	// Unknown opcode.
-	if err := writeFrame(conn, []byte{0xFF}); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := readFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp[0] != statusErr {
+	if resp := exchange(rawRequest(0xFF, 1, 0, 0, 0, nil)); resp[0] != statusErr {
 		t.Fatalf("unknown opcode answered with status %d", resp[0])
 	}
 	// Truncated GetBatch body.
-	if err := writeFrame(conn, []byte{opGetBatch, 0, 0}); err != nil {
-		t.Fatal(err)
-	}
-	resp, err = readFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp[0] != statusErr {
+	if resp := exchange(rawRequest(opGetBatch, 2, 0, 0, 0, []byte{0, 0})); resp[0] != statusErr {
 		t.Fatal("truncated request not rejected")
+	}
+	// A frame too short for the header has no trustworthy request ID: the
+	// server closes the connection instead of answering.
+	if err := writeFrame(conn, []byte{0xFF}); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if resp, err := readFrame(conn); err == nil {
+		t.Fatalf("short header answered with %x; want the connection closed", resp)
 	}
 }
 
@@ -334,6 +344,20 @@ func TestServerCloseUnblocksServe(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Serve did not return after Close")
 	}
+}
+
+// encodeGetBatchResponse is the reference encoding of a GetBatch
+// response's status and body (the server frames the same layout with
+// wire.Vec; see serve_vec.go).
+func encodeGetBatchResponse(samples []Sample) []byte {
+	var e buffer
+	e.u8(statusOK)
+	e.u32(uint32(len(samples)))
+	for _, s := range samples {
+		e.i64(int64(s.ID))
+		e.bytes(s.Payload)
+	}
+	return e.payload()
 }
 
 func TestFrameRoundTripProperty(t *testing.T) {

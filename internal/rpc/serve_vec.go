@@ -10,12 +10,13 @@ import (
 	"icache/internal/dataset"
 	"icache/internal/obs"
 	"icache/internal/overload"
+	"icache/internal/trace"
 	"icache/internal/wire"
 )
 
-// The vectored serving path. Plain and multiplexed opGetBatch /
-// opPeerGetBatch requests are served without copying payload bytes and
-// without per-request heap allocation when every sample is a local hit:
+// The vectored serving path. Every opGetBatch / opPeerGetBatch request —
+// traced or not — is served without copying payload bytes and without
+// per-request heap allocation when every sample is a local hit:
 //
 //  1. request ids decode into a pooled scratch slice,
 //  2. the policy verdict appends into a pooled served slice
@@ -29,8 +30,6 @@ import (
 //
 // Misses drop to the ordinary resolution machinery (singleflight, peer
 // scatter-gather, backend) where a round trip dwarfs allocation cost.
-// Traced envelopes and the legacy-protocol test hook keep using the copy
-// path in dispatchCtx, which stays byte-for-byte compatible.
 
 // servedPayload is one response slot: the payload bytes, the pinned slab
 // backing them (nil for zero-length or miss-path bytes), and — on the peer
@@ -82,68 +81,61 @@ func (s *Server) releaseScratch(sc *serveScratch) {
 	serveScratchPool.Put(sc)
 }
 
-// vecOp reports whether the vectored path serves this opcode. The legacy
-// protocol hook routes everything through the copy path instead (its job is
-// to reproduce pre-PR-5 behavior exactly).
-func (s *Server) vecOp(op byte) bool {
-	if s.legacyProto {
-		return false
-	}
-	return op == opGetBatch || op == opPeerGetBatch
-}
-
-// serveVecRequest serves one decoded-opcode request on the vectored path:
-// decode ids, resolve payloads (pinning local hits), frame, one vectored
-// write. muxID/muxed carry the envelope to echo. The returned error is a
-// connection write error (the caller tears the connection down); protocol
-// and resolution errors are answered in-band.
-func (s *Server) serveVecRequest(cs *muxConnState, muxID uint32, muxed bool, req []byte, dl time.Time) error {
-	op := req[0]
+// decodeScratch decodes a batch request body's ids into a pooled scratch.
+// The serving loop calls it synchronously (the body aliases the reusable
+// read buffer) and hands the scratch — not the request bytes — to the
+// handler goroutine.
+func decodeScratch(body []byte) (*serveScratch, error) {
 	sc := getServeScratch()
-	d := newReader(req)
-	d.u8()
-	ids, derr := decodeGetBatchRequestInto(d, sc.ids[:0])
+	ids, err := decodeGetBatchRequestInto(newReader(body), sc.ids[:0])
 	sc.ids = ids
-	return s.serveVecDecoded(cs, muxID, muxed, op, sc, derr, dl)
+	return sc, err
 }
 
-// serveVecDecoded is serveVecRequest after id decode — the mux read loop
-// decodes synchronously (the request buffer is reused for the next frame)
-// and hands the scratch to a dispatch goroutine, which enters here.
-// Releases sc on all paths.
-func (s *Server) serveVecDecoded(cs *muxConnState, muxID uint32, muxed bool, op byte, sc *serveScratch, derr error, dl time.Time) error {
+// serveVecDecoded serves one decoded batch request: resolve payloads
+// (pinning local hits), frame, one vectored write. The returned error is a
+// connection write error (the caller tears the connection down); protocol
+// and resolution errors are answered in-band. Releases sc on all paths.
+func (s *Server) serveVecDecoded(cs *connState, h requestHeader, sc *serveScratch, derr error) error {
 	defer s.releaseScratch(sc)
 	if derr != nil {
-		return s.writeVecError(cs, muxID, muxed, sc, derr.Error())
-	}
-	// The budget may have drained while this request sat in the dispatch
-	// queue (the mux semaphore): re-check before touching the cache. Peer
-	// batch requests inherit the originating request's budget, so the check
-	// covers both ops.
-	if op == opPeerGetBatch && s.deadlineExpired(dl) {
-		return s.writeVecStatus(cs, muxID, muxed, sc, statusExpired)
+		return s.writeVecStatus(cs, h.id, sc, statusErr, derr.Error())
 	}
 	var t0 time.Time
-	if op == opGetBatch && (s.obs.histsOn() || s.obs.slowThresh > 0) {
+	if s.obs.histsOn() || s.obs.tracing(h.trace) || s.obs.slowThresh > 0 {
 		t0 = time.Now()
 	}
+	peer := h.op == opPeerGetBatch
 	var err error
-	if op == opPeerGetBatch {
-		s.fillPeerPinned(sc)
+	if peer {
+		// The budget may have drained while this request sat in the dispatch
+		// queue (the per-connection semaphore): re-check before touching the
+		// store. Peer reads inherit the originating request's budget.
+		if s.deadlineExpired(h.deadline) {
+			err = overload.ErrExpired
+		} else {
+			s.fillPeerPinned(sc)
+		}
 	} else {
-		err = s.getBatchPinned(sc.ids, obs.TraceCtx{}, sc, dl)
+		err = s.getBatchPinned(sc.ids, h.trace, sc, h.deadline)
 	}
 	if err != nil {
 		if errors.Is(err, overload.ErrExpired) {
-			return s.writeVecStatus(cs, muxID, muxed, sc, statusExpired)
+			return s.writeVecStatus(cs, h.id, sc, statusExpired, "")
 		}
-		return s.writeVecError(cs, muxID, muxed, sc, err.Error())
+		return s.writeVecStatus(cs, h.id, sc, statusErr, err.Error())
 	}
-	werr := s.writeVecResponse(cs, muxID, muxed, sc, op == opPeerGetBatch)
+	werr := s.writeVecResponse(cs, h.id, sc, peer)
 	if !t0.IsZero() {
 		dur := time.Since(t0)
-		s.obs.request.Record(dur)
-		s.maybeLogSlow(obs.TraceCtx{}, len(sc.ids), dur)
+		s.span(trace.KindRPCRecv, 0, int64(len(sc.ids)), h.trace, dur)
+		if !peer {
+			s.obs.request.Record(dur)
+			// Pin this trace as the latency-bucket exemplar: the journal's
+			// bridge from "the p99 bucket moved" to a stitched trace chain.
+			s.obs.exemplars.Record(dur, h.trace.ID)
+			s.maybeLogSlow(h.trace, len(sc.ids), dur)
+		}
 	}
 	return werr
 }
@@ -206,7 +198,7 @@ func (s *Server) getBatchPinned(ids []dataset.SampleID, ctx obs.TraceCtx, sc *se
 	}
 	var samples []Sample
 	var err error
-	if dist := s.dist; dist != nil && dist.peerCfg.Batch > 0 {
+	if s.dist != nil {
 		samples, err = s.collectBatched(missIDs, ctx, dl)
 	} else {
 		samples, err = s.collectLone(missIDs, ctx, histsOn, dl)
@@ -222,7 +214,7 @@ func (s *Server) getBatchPinned(ids []dataset.SampleID, ctx obs.TraceCtx, sc *se
 
 // fillPeerPinned serves opPeerGetBatch against the payload store only:
 // per-id pinned lookups, never policyMu, never a cache mutation — the same
-// contract as handlePeerGetBatch, minus the copies.
+// contract as every peer read (see the locking contract in peer.go).
 func (s *Server) fillPeerPinned(sc *serveScratch) {
 	sc.out = sc.out[:0]
 	served := 0
@@ -239,17 +231,14 @@ func (s *Server) fillPeerPinned(sc *serveScratch) {
 	}
 }
 
-// writeVecResponse frames sc.out (GetBatch or PeerGetBatch layout) into
-// the scratch Vec and performs the single vectored write under the
+// writeVecResponse frames sc.out (GetBatch or PeerGetBatch layout) after
+// the echoed request ID and performs the single vectored write under the
 // connection's write mutex. Pins in sc stay held until the caller's
 // releaseScratch — after the write has fully completed.
-func (s *Server) writeVecResponse(cs *muxConnState, muxID uint32, muxed bool, sc *serveScratch, peer bool) error {
+func (s *Server) writeVecResponse(cs *connState, id uint32, sc *serveScratch, peer bool) error {
 	v := &sc.vec
 	v.Reset()
-	if muxed {
-		v.U8(opMuxReq)
-		v.U32(muxID)
-	}
+	v.U32(id)
 	v.U8(statusOK)
 	v.U32(uint32(len(sc.out)))
 	for i := range sc.out {
@@ -274,33 +263,17 @@ func (s *Server) writeVecResponse(cs *muxConnState, muxID uint32, muxed bool, sc
 	return err
 }
 
-// writeVecStatus answers a body-less control status (statusExpired) on the
-// vectored path.
-func (s *Server) writeVecStatus(cs *muxConnState, muxID uint32, muxed bool, sc *serveScratch, status byte) error {
+// writeVecStatus answers a non-OK status on the vectored path: statusErr
+// carries msg (same bytes as encodeErrorResponseInto), statusExpired has
+// no body.
+func (s *Server) writeVecStatus(cs *connState, id uint32, sc *serveScratch, status byte, msg string) error {
 	v := &sc.vec
 	v.Reset()
-	if muxed {
-		v.U8(opMuxReq)
-		v.U32(muxID)
-	}
+	v.U32(id)
 	v.U8(status)
-	cs.wmu.Lock()
-	_, err := v.WriteTo(cs.conn)
-	cs.wmu.Unlock()
-	return err
-}
-
-// writeVecError answers a protocol or resolution error in-band on the
-// vectored path (same bytes as encodeErrorResponseInto).
-func (s *Server) writeVecError(cs *muxConnState, muxID uint32, muxed bool, sc *serveScratch, msg string) error {
-	v := &sc.vec
-	v.Reset()
-	if muxed {
-		v.U8(opMuxReq)
-		v.U32(muxID)
+	if status == statusErr {
+		v.Str(msg)
 	}
-	v.U8(statusErr)
-	v.Str(msg)
 	cs.wmu.Lock()
 	_, err := v.WriteTo(cs.conn)
 	cs.wmu.Unlock()

@@ -65,9 +65,8 @@ type ByteSource interface {
 // Slow work — backend fetches and remote peer reads — happens outside all
 // locks, coalesced per sample ID through a singleflight group so K
 // concurrent misses on one sample issue exactly one backend read. The
-// distributed helpers in peer.go (resolveRemote, claimOwnership) are
-// called WITHOUT policyMu held; the old "called with s.mu held, drops it
-// across the network" contract is gone.
+// distributed helpers in peer.go (resolveMissBatch, claimOwnership) are
+// called WITHOUT policyMu held.
 type Server struct {
 	cache  *icache.Server
 	source ByteSource
@@ -111,11 +110,8 @@ type Server struct {
 	missJobs    chan missJob
 	missHelperN atomic.Int64
 	missHelpers sync.WaitGroup
-	// muxInflight gauges mux requests currently in async dispatch (atomic).
+	// muxInflight gauges requests currently in async dispatch (atomic).
 	muxInflight int64
-	// legacyProto pins the server to pre-PR-5 wire behavior (test hook;
-	// see SetLegacyProtocol).
-	legacyProto bool
 
 	ln      net.Listener
 	conns   sync.WaitGroup
@@ -297,19 +293,15 @@ func (s *Server) Close() error {
 }
 
 // serveConn is one connection's request loop. It reuses a single request
-// read buffer across frames (requests are fully decoded — or copied, for
-// async mux dispatch — before the next read, so aliasing is safe) and
-// encodes every response into a pooled buffer that is returned to the pool
-// right after the frame is written.
-//
-// Frames carrying the opMuxReq envelope are dispatched asynchronously (one
-// goroutine per in-flight request, bounded by cs.sem) so a pipelined client
-// gets concurrent service on one connection; all response writes — sync and
-// async — serialize on cs.wmu so frames never interleave. On teardown the
-// connection closes FIRST, then the loop waits for in-flight mux handlers:
+// read buffer across frames: serveFrame decodes or copies everything a
+// handler needs before the next read, so aliasing is safe. Every request
+// is dispatched on its own goroutine (bounded by cs.sem), so a pipelining
+// client gets concurrent service on one connection; all response writes
+// serialize on cs.wmu so frames never interleave. On teardown the
+// connection closes FIRST, then the loop waits for in-flight handlers:
 // stragglers fail their writes fast instead of blocking shutdown.
 func (s *Server) serveConn(conn net.Conn) {
-	cs := &muxConnState{conn: conn, sem: make(chan struct{}, muxServerInflight)}
+	cs := &connState{conn: conn, sem: make(chan struct{}, muxServerInflight)}
 	defer cs.wg.Wait()
 	defer conn.Close()
 	var rbuf []byte // request frame buffer, reused across requests
@@ -324,177 +316,78 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		rbuf = req[:0]
-		if len(req) >= muxHeaderLen && req[0] == opMuxReq && !s.legacyProto {
-			s.serveMuxFrame(cs, req)
-			continue
-		}
-		// Peel any deadline envelope FIRST: both the vectored-path intercept
-		// and the admission gate key on the INNER opcode.
-		inner := req
-		var dl time.Time
-		if len(req) > 0 && req[0] == opDeadline && !s.legacyProto {
-			var derr error
-			inner, dl, _, derr = peelDeadline(req, time.Now())
-			if derr != nil {
-				msg := derr.Error()
-				if err := s.writeControlFrame(cs, 0, false, func(e *buffer) {
-					encodeErrorResponseInto(e, msg)
-				}); err != nil {
-					s.logIfUnexpected(err)
-					return
-				}
-				continue
-			}
-		}
-		// Admission: the legacy per-connection path shares the same gate as
-		// the mux fan-out, so a storm of serial connections is bounded too.
-		admitted := false
-		if g := s.gate; g != nil && gatedOp(inner) {
-			ok, after := g.Admit(time.Now())
-			if !ok {
-				atomic.AddInt64(&s.shedCount, 1)
-				if err := s.writeControlFrame(cs, 0, false, func(e *buffer) {
-					encodeRetryAfterResponseInto(e, after)
-				}); err != nil {
-					s.logIfUnexpected(err)
-					return
-				}
-				continue
-			}
-			admitted = true
-		}
-		if len(inner) > 0 && s.vecOp(inner[0]) {
-			// Hot ops take the zero-copy path: pinned slab payloads framed
-			// as one vectored write, no response buffer.
-			err := s.serveVecRequest(cs, 0, false, inner, dl)
-			if admitted {
-				s.gate.Done()
-			}
-			if err != nil {
-				s.logIfUnexpected(err)
-				return
-			}
-			continue
-		}
-		wb := wire.GetBuffer()
-		e := buffer{Buffer: *wb}
-		s.dispatchFull(inner, &e, obs.TraceCtx{}, dl)
-		wb.B = e.B // appends may have grown past the pooled backing array
-		cs.wmu.Lock()
-		err = writeFrame(conn, wb.B)
-		cs.wmu.Unlock()
-		wire.PutBuffer(wb)
-		if admitted {
-			s.gate.Done()
-		}
-		if err != nil {
+		if err := s.serveFrame(cs, req); err != nil {
 			s.logIfUnexpected(err)
 			return
 		}
 	}
 }
 
-// muxServerInflight bounds concurrently dispatched mux requests per
-// connection; when full, the read loop blocks, pushing backpressure onto
-// the client's own in-flight bound.
+// muxServerInflight bounds concurrently dispatched requests per connection;
+// when full, the read loop blocks, pushing backpressure onto the client's
+// own in-flight bound.
 const muxServerInflight = 64
 
-// muxConnState is one connection's async-dispatch bookkeeping: the write
-// mutex all response frames serialize on, the handler semaphore, and the
+// connState is one connection's async-dispatch bookkeeping: the write mutex
+// all response frames serialize on, the handler semaphore, and the
 // WaitGroup serveConn drains on teardown.
-type muxConnState struct {
+type connState struct {
 	conn net.Conn
 	wmu  sync.Mutex
 	wg   sync.WaitGroup
 	sem  chan struct{}
 }
 
-// serveMuxFrame dispatches one opMuxReq envelope asynchronously. req aliases
-// the read loop's reusable buffer, so the inner request is copied before the
-// handler goroutine starts. The response frame echoes the envelope header so
-// the client's demux reader can match it.
-func (s *Server) serveMuxFrame(cs *muxConnState, req []byte) {
-	d := newReader(req)
-	d.u8() // opMuxReq (validated by the caller)
-	id := d.u32()
-	rest := d.rest()
-	// Deadline envelope sits inside the mux envelope; peel it before the
-	// vec check so a deadlined GetBatch keeps the zero-copy path.
-	inner := rest
-	var dl time.Time
-	if len(rest) > 0 && rest[0] == opDeadline {
-		var derr error
-		inner, dl, _, derr = peelDeadline(rest, time.Now())
-		if derr != nil {
-			msg := derr.Error()
-			if err := s.writeControlFrame(cs, id, true, func(e *buffer) {
-				encodeErrorResponseInto(e, msg)
-			}); err != nil {
-				s.logIfUnexpected(err)
-			}
-			return
-		}
+// serveFrame serves one request frame: header decode, admission, then
+// dispatch on a handler goroutine. req aliases the read loop's reusable
+// buffer, so batch ids are decoded (and any other body copied) before the
+// handler starts. A shed request is answered synchronously from the read
+// loop and never occupies a dispatch slot. A non-nil error — a frame too
+// short to carry a request ID, or a failed write — closes the connection.
+func (s *Server) serveFrame(cs *connState, req []byte) error {
+	h, body, err := decodeRequestHeader(req, time.Now())
+	if errors.Is(err, errShortHeader) {
+		return err
 	}
-	// Admission runs BEFORE the per-connection semaphore: a shed request is
-	// answered synchronously from the read loop and never occupies a
-	// dispatch slot — that is the whole point of shedding.
+	if err != nil {
+		msg := err.Error()
+		return s.writeControlFrame(cs, h.id, func(e *buffer) { encodeErrorResponseInto(e, msg) })
+	}
 	admitted := false
-	if g := s.gate; g != nil && gatedOp(inner) {
+	if g := s.gate; g != nil && gatedOp(h.op) {
 		ok, after := g.Admit(time.Now())
 		if !ok {
 			atomic.AddInt64(&s.shedCount, 1)
-			if err := s.writeControlFrame(cs, id, true, func(e *buffer) {
-				encodeRetryAfterResponseInto(e, after)
-			}); err != nil {
-				s.logIfUnexpected(err)
-			}
-			return
+			return s.writeControlFrame(cs, h.id, func(e *buffer) { encodeRetryAfterResponseInto(e, after) })
 		}
 		admitted = true
 	}
-	if len(inner) > 0 && s.vecOp(inner[0]) {
-		// Zero-copy dispatch: decode the ids into a pooled scratch NOW (inner
-		// aliases the reusable read buffer) and hand the scratch — not the
-		// request bytes — to the handler goroutine. No request copy.
-		op := inner[0]
-		sc := getServeScratch()
-		di := newReader(inner)
-		di.u8()
-		ids, derr := decodeGetBatchRequestInto(di, sc.ids[:0])
-		sc.ids = ids
+	if h.op == opGetBatch || h.op == opPeerGetBatch {
+		sc, derr := decodeScratch(body)
 		s.acquireMuxSlot(cs, admitted)
 		go func() {
 			defer s.releaseMuxSlot(cs, admitted)
-			if err := s.serveVecDecoded(cs, id, true, op, sc, derr, dl); err != nil {
+			if err := s.serveVecDecoded(cs, h, sc, derr); err != nil {
 				s.logIfUnexpected(err)
 			}
 		}()
-		return
+		return nil
 	}
-	innerCopy := append([]byte(nil), inner...)
+	bodyCopy := append([]byte(nil), body...)
 	s.acquireMuxSlot(cs, admitted)
 	go func() {
 		defer s.releaseMuxSlot(cs, admitted)
-		wb := wire.GetBuffer()
-		e := buffer{Buffer: *wb}
-		e.u8(opMuxReq)
-		e.u32(id)
-		s.dispatchFull(innerCopy, &e, obs.TraceCtx{}, dl)
-		wb.B = e.B
-		cs.wmu.Lock()
-		err := writeFrame(cs.conn, wb.B)
-		cs.wmu.Unlock()
-		wire.PutBuffer(wb)
-		if err != nil {
+		if err := s.writeControlFrame(cs, h.id, func(e *buffer) { s.dispatch(h.op, bodyCopy, e) }); err != nil {
 			s.logIfUnexpected(err)
 		}
 	}()
+	return nil
 }
 
 // acquireMuxSlot takes a per-connection dispatch slot, feeding the time
 // spent blocked on the full semaphore — the server's standing queue delay —
 // to the admission gate's CoDel window and the admission_wait histogram.
-func (s *Server) acquireMuxSlot(cs *muxConnState, admitted bool) {
+func (s *Server) acquireMuxSlot(cs *connState, admitted bool) {
 	measure := admitted || s.obs.histsOn()
 	var t0 time.Time
 	if measure {
@@ -513,7 +406,7 @@ func (s *Server) acquireMuxSlot(cs *muxConnState, admitted bool) {
 	atomic.AddInt64(&s.muxInflight, 1)
 }
 
-func (s *Server) releaseMuxSlot(cs *muxConnState, admitted bool) {
+func (s *Server) releaseMuxSlot(cs *connState, admitted bool) {
 	if admitted {
 		s.gate.Done()
 	}
@@ -522,16 +415,9 @@ func (s *Server) releaseMuxSlot(cs *muxConnState, admitted bool) {
 	cs.wg.Done()
 }
 
-// MuxInflight reports the number of mux requests currently being served
-// across all connections (gauge).
+// MuxInflight reports the number of requests currently being served across
+// all connections (gauge).
 func (s *Server) MuxInflight() int64 { return atomic.LoadInt64(&s.muxInflight) }
-
-// SetLegacyProtocol pins the server to the pre-PR-5 wire behavior: opPing
-// answers with the bare status byte (no capability word), opMuxReq and
-// opPeerGetBatch are rejected as unknown opcodes. It exists so
-// mixed-version interop tests can stand up a faithful "old binary" —
-// production servers never call it. Must be set before Serve.
-func (s *Server) SetLegacyProtocol(on bool) { s.legacyProto = on }
 
 // SetAdmission installs the adaptive admission gate (nil = admit
 // everything). Must be called before Serve. The gate's state ladder drives
@@ -565,36 +451,21 @@ func (s *Server) OverloadCounters() (shed, expired int64) {
 	return atomic.LoadInt64(&s.shedCount), atomic.LoadInt64(&s.expiredCount)
 }
 
-// gatedOp reports whether the admission gate applies to a request payload.
-// Health checks (opPing) and monitoring (opStats) always pass: an operator
-// must be able to see an overloaded server. A leading trace envelope is
-// skipped so traced data requests don't dodge the gate.
-func gatedOp(p []byte) bool {
-	if len(p) == 0 {
-		return false
-	}
-	op := p[0]
-	if op == opTraced && len(p) > tracedHeaderLen {
-		op = p[tracedHeaderLen]
-	}
-	switch op {
-	case opPing, opStats:
-		return false
-	}
-	return true
+// gatedOp reports whether the admission gate applies to a request. Health
+// checks (opPing) and monitoring (opStats) always pass: an operator must
+// be able to see an overloaded server.
+func gatedOp(op byte) bool {
+	return op != opPing && op != opStats
 }
 
-// writeControlFrame writes a small status-only response — shed/expired
-// rejections and pre-dispatch protocol errors — on the sync or mux path.
-func (s *Server) writeControlFrame(cs *muxConnState, muxID uint32, muxed bool, fill func(e *buffer)) error {
+// writeControlFrame writes a response built by fill after the echoed
+// request ID: control-op answers, shed rejections and header errors.
+func (s *Server) writeControlFrame(cs *connState, id uint32, fill func(e *buffer)) error {
 	wb := wire.GetBuffer()
 	e := buffer{Buffer: *wb}
-	if muxed {
-		e.u8(opMuxReq)
-		e.u32(muxID)
-	}
+	e.u32(id)
 	fill(&e)
-	wb.B = e.B
+	wb.B = e.B // appends may have grown past the pooled backing array
 	cs.wmu.Lock()
 	err := writeFrame(cs.conn, wb.B)
 	cs.wmu.Unlock()
@@ -611,106 +482,13 @@ func (s *Server) logIfUnexpected(err error) {
 	}
 }
 
-// dispatch decodes one request and produces the response payload
-// (allocating form, used by tests and the fuzz harness; the serving loop
-// uses dispatchInto with a pooled buffer).
-func (s *Server) dispatch(req []byte) []byte {
-	var e buffer
-	s.dispatchInto(req, &e)
-	return e.payload()
-}
-
-// dispatchInto decodes one request and appends the response into e.
-// Protocol errors are answered, never fatal. The request buffer may be
-// reused by the caller after dispatchInto returns, so no slice of req is
-// retained (decoders copy what they keep).
-func (s *Server) dispatchInto(req []byte, e *buffer) {
-	s.dispatchCtx(req, e, obs.TraceCtx{})
-}
-
-// dispatchCtx is dispatchInto carrying the request's trace context (zero
-// when untraced).
-func (s *Server) dispatchCtx(req []byte, e *buffer, ctx obs.TraceCtx) {
-	s.dispatchFull(req, e, ctx, time.Time{})
-}
-
-// dispatchFull is the dispatch core, carrying the request's trace context
-// (zero when untraced) and its absolute deadline (zero when unbounded).
-// Each envelope opcode — opTraced, opDeadline — re-enters here exactly
-// once: nesting the same envelope twice is rejected, so recursion depth is
-// bounded at two.
-func (s *Server) dispatchFull(req []byte, e *buffer, ctx obs.TraceCtx, dl time.Time) {
-	d := newReader(req)
-	op := d.u8()
+// dispatch serves one control request (everything but the batch reads,
+// which take the vectored path in serve_vec.go) and appends its status and
+// body to e. Protocol errors are answered, never fatal. body is the
+// handler's own copy.
+func (s *Server) dispatch(op byte, body []byte, e *buffer) {
+	d := newReader(body)
 	switch op {
-	case opTraced:
-		if ctx.Valid() {
-			encodeErrorResponseInto(e, "rpc: nested trace envelope")
-			return
-		}
-		id := uint64(d.i64())
-		hop := d.u8()
-		if err := d.err(); err != nil {
-			encodeErrorResponseInto(e, err.Error())
-			return
-		}
-		inner := obs.TraceCtx{ID: id, Hop: hop}
-		if !inner.Valid() {
-			encodeErrorResponseInto(e, "rpc: trace envelope with zero trace id")
-			return
-		}
-		s.dispatchFull(d.rest(), e, inner, dl)
-	case opDeadline:
-		// Normally peeled in the read loop (before the vec intercept); this
-		// case serves direct dispatch callers and a deadline nested inside a
-		// trace envelope.
-		if s.legacyProto {
-			encodeErrorResponseInto(e, fmt.Sprintf("rpc: unknown opcode %d", op))
-			return
-		}
-		if !dl.IsZero() {
-			encodeErrorResponseInto(e, "rpc: nested deadline envelope")
-			return
-		}
-		budget := d.i64()
-		if err := d.err(); err != nil {
-			encodeErrorResponseInto(e, err.Error())
-			return
-		}
-		if budget <= 0 {
-			encodeErrorResponseInto(e, fmt.Sprintf("rpc: non-positive deadline budget %d", budget))
-			return
-		}
-		s.dispatchFull(d.rest(), e, ctx, time.Now().Add(time.Duration(budget)))
-	case opGetBatch:
-		var t0 time.Time
-		if s.obs.histsOn() || s.obs.tracing(ctx) || s.obs.slowThresh > 0 {
-			t0 = time.Now()
-		}
-		ids, err := decodeGetBatchRequest(d)
-		if err != nil {
-			encodeErrorResponseInto(e, err.Error())
-			return
-		}
-		samples, err := s.getBatch(ids, ctx, dl)
-		if err != nil {
-			if errors.Is(err, overload.ErrExpired) {
-				encodeExpiredResponseInto(e)
-				return
-			}
-			encodeErrorResponseInto(e, err.Error())
-			return
-		}
-		encodeGetBatchResponseInto(e, samples)
-		if !t0.IsZero() {
-			dur := time.Since(t0)
-			s.obs.request.Record(dur)
-			s.span(trace.KindRPCRecv, 0, int64(len(ids)), ctx, dur)
-			// Pin this trace as the latency-bucket exemplar: the journal's
-			// bridge from "the p99 bucket moved" to a stitched trace chain.
-			s.obs.exemplars.Record(dur, ctx.ID)
-			s.maybeLogSlow(ctx, len(ids), dur)
-		}
 	case opUpdateImportance:
 		items, err := decodeUpdateImportanceRequest(d)
 		if err != nil {
@@ -738,10 +516,6 @@ func (s *Server) dispatchFull(req []byte, e *buffer, ctx obs.TraceCtx, dl time.T
 		// schedule. PlanSchedule seeds the loader with the missing L-side
 		// (honest virtual-time charging) and returns the missing H-side in
 		// first-access order for the planner to pre-place.
-		if s.legacyProto {
-			encodeErrorResponseInto(e, fmt.Sprintf("rpc: unknown opcode %d", op))
-			return
-		}
 		_, ids, err := decodeEpochPlanRequest(d)
 		if err != nil {
 			encodeErrorResponseInto(e, err.Error())
@@ -767,11 +541,7 @@ func (s *Server) dispatchFull(req []byte, e *buffer, ctx obs.TraceCtx, dl time.T
 		}
 		e.u8(statusOK)
 	case opPlanPreplace:
-		if s.legacyProto {
-			encodeErrorResponseInto(e, fmt.Sprintf("rpc: unknown opcode %d", op))
-			return
-		}
-		ids, err := decodePlanPreplaceRequest(d)
+		ids, err := decodeGetBatchRequest(d)
 		if err != nil {
 			encodeErrorResponseInto(e, err.Error())
 			return
@@ -796,68 +566,11 @@ func (s *Server) dispatchFull(req []byte, e *buffer, ctx obs.TraceCtx, dl time.T
 		}
 		s.policyMu.Unlock()
 		encodeStatsResponseInto(e, out)
-		if !s.legacyProto {
-			// Optional trailing field; legacy framing stays byte-identical.
-			e.i64(out.DemandFetches)
-		}
 	case opPing:
 		e.u8(statusOK)
-		// Capability handshake: a post-PR-5 client appends its capability
-		// word; echo ours so it can pipeline. A bare legacy ping gets the
-		// bare legacy answer.
-		if !s.legacyProto && len(d.rest()) >= 4 {
-			_ = d.u32() // client capabilities (none change our behavior yet)
-			e.u32(capMux)
-		}
-	case opPeerGet:
-		s.handlePeerGet(d, e, ctx)
-	case opPeerGetBatch:
-		if s.legacyProto {
-			encodeErrorResponseInto(e, fmt.Sprintf("rpc: unknown opcode %d", op))
-			return
-		}
-		s.handlePeerGetBatch(d, e, ctx)
 	default:
 		encodeErrorResponseInto(e, fmt.Sprintf("rpc: unknown opcode %d", op))
 	}
-}
-
-// getBatch runs the cache policy for each requested sample and returns real
-// payloads: cached bytes for residents, freshly fetched bytes otherwise
-// (stored if the policy admitted the sample). The policy decision is a
-// short critical section under policyMu; all byte fetching happens outside
-// any lock, coalesced per sample. ctx is the request's trace context (zero
-// when untraced); stage timings record into the obs histograms when
-// enabled.
-func (s *Server) getBatch(ids []dataset.SampleID, ctx obs.TraceCtx, dl time.Time) ([]Sample, error) {
-	// Deadline check BEFORE the policy engine runs: an expired request must
-	// not move cache state or counters, so shed+expired+served == offered
-	// stays an exact identity.
-	if s.deadlineExpired(dl) {
-		return nil, overload.ErrExpired
-	}
-
-	spec := s.source.Spec()
-	for _, id := range ids {
-		if !spec.Contains(id) {
-			return nil, fmt.Errorf("rpc: sample %d out of range for dataset %q", id, spec.Name)
-		}
-	}
-
-	histsOn := s.obs.histsOn()
-	s.policyMu.Lock()
-	var tLock time.Time
-	if histsOn {
-		tLock = time.Now()
-	}
-	_, served := s.cache.FetchBatch(s.now(), ids)
-	s.policyMu.Unlock()
-	s.obs.policyLock.Since(tLock)
-
-	if dist := s.dist; dist != nil && dist.peerCfg.Batch > 0 {
-		return s.collectBatched(served, ctx, dl)
-	}
-	return s.collectLone(served, ctx, histsOn, dl)
 }
 
 // deadlineExpired reports whether a request's budget has run out, counting
@@ -877,8 +590,7 @@ func (s *Server) deadlineExpired(dl time.Time) bool {
 	return true
 }
 
-// collectLone resolves a batch on a lone server (and on a distributed one
-// whose peer batch size is 0): local hits straight from the payload store,
+// collectLone resolves a batch on a lone server: local hits straight from the payload store,
 // then every distinct miss through resolvePayload — singleflight
 // coalescing, plan promotion, admission and demand counting exactly as for
 // a single sample. The request goroutine hands each miss but the last to
@@ -1106,7 +818,7 @@ func (s *Server) collectBatched(served []dataset.SampleID, ctx obs.TraceCtx, dl 
 		for _, id := range leads {
 			s.prefetch.noteDemand(id)
 		}
-		s.resolveMissBatch(leads, calls, ctx, dl)
+		s.resolveMissBatch(leads, calls, ctx, dl, provFetch)
 	}
 
 	// Pass 3: collect results. Every position whose id entered the miss set
@@ -1142,11 +854,11 @@ func (s *Server) collectBatched(served []dataset.SampleID, ctx obs.TraceCtx, dl 
 // resolvePayload produces the bytes for a sample whose payload is not in
 // the store, without holding any lock. Concurrent misses on the same
 // sample — from request goroutines or the prefetch pool — are coalesced:
-// one goroutine runs the fetch (peer cache first in distributed mode, then
-// the backend), the rest wait and share its result. ctx is the trace
-// context of the request driving this fetch (zero for untraced requests
-// and prefetch work); when a traced request joins another request's
-// in-flight fetch, the executing request's context owns the spans.
+// one goroutine runs the fetch, the rest wait and share its result. ctx is
+// the trace context of the request driving this fetch (zero for untraced
+// requests and prefetch work); when a traced request joins another
+// request's in-flight fetch, the executing request's context owns the
+// spans.
 func (s *Server) resolvePayload(id dataset.SampleID, ctx obs.TraceCtx, dl time.Time) ([]byte, error) {
 	return s.resolvePayloadProv(id, ctx, dl, provFetch)
 }
@@ -1154,11 +866,27 @@ func (s *Server) resolvePayload(id dataset.SampleID, ctx obs.TraceCtx, dl time.T
 // resolvePayloadProv is resolvePayload carrying the admission provenance
 // of the caller (foreground fetch vs. prefetch worker). When callers with
 // different provenance coalesce onto one flight, the executor's provenance
-// wins — attribution is per fetch, not per waiter.
+// wins — attribution is per fetch, not per waiter. On a distributed node
+// the fetch is a batch of one through resolveMissBatch (§III-E flow: local
+// cache → directory → remote cache → storage).
 func (s *Server) resolvePayloadProv(id dataset.SampleID, ctx obs.TraceCtx, dl time.Time, prov admitProv) ([]byte, error) {
 	var tWait time.Time
 	if s.obs.histsOn() {
 		tWait = time.Now()
+	}
+	if s.dist != nil {
+		c, leader := s.flight.Begin(int64(id))
+		if leader {
+			if prov != provPrefetch {
+				s.prefetch.noteDemand(id)
+			}
+			s.resolveMissBatch([]dataset.SampleID{id}, map[dataset.SampleID]*singleflight.Call{id: c}, ctx, dl, prov)
+			return c.Wait()
+		}
+		payload, err := c.Wait()
+		atomic.AddInt64(&s.coalescedMisses, 1)
+		s.obs.sfWait.Since(tWait)
+		return payload, err
 	}
 	payload, err, shared := s.flight.Do(int64(id), func() ([]byte, error) {
 		// Re-check under the flight lock's happens-before edge: a racing
@@ -1170,17 +898,6 @@ func (s *Server) resolvePayloadProv(id dataset.SampleID, ctx obs.TraceCtx, dl ti
 			// A demand fetch executing for this sample promotes any
 			// queued-but-unstarted planned prefetch (see noteDemand).
 			s.prefetch.noteDemand(id)
-		}
-		// A peer's cache is cheaper than the backend (§III-E flow:
-		// local cache → directory → remote cache → storage).
-		if remote, ok := s.resolveRemote(id, ctx, dl); ok {
-			// Owned elsewhere: this node must not keep a duplicate.
-			s.policyMu.Lock()
-			if s.cache.Drop(id) {
-				s.payloads.delete(id)
-			}
-			s.policyMu.Unlock()
-			return remote, nil
 		}
 		p, err := s.fetchBackend(id, ctx)
 		if err != nil {
