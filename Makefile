@@ -58,10 +58,9 @@ bench-serving:
 
 # Observability smoke: the exposition goldens (Prometheus text + pinned
 # JSON bytes + the byte-pinned /debug/timeline document), the
-# histogram/quantile property tests, the trace-envelope rejection tables
-# (directory side),
-# the two-node cross-node hop-chain round trips (including the chaos
-# variant with injected peer faults), the decision-ledger conservation
+# histogram/quantile property tests, the directory's traced lookups and
+# request-header rejection table, the two-node cross-node hop-chain round
+# trips (including the chaos variant with injected peer faults), the decision-ledger conservation
 # identities, the journal/timeline concurrency suite, and the icache-top
 # scrape/render path against a fake two-node cluster. Fast enough to gate
 # `make all` on; -count=1 defeats the test cache so the goldens are
@@ -69,7 +68,7 @@ bench-serving:
 obs-smoke:
 	$(GO) test -count=1 ./internal/obs/ ./internal/trace/ ./internal/top/
 	$(GO) test -count=1 -run 'TestMetricsJSONBytesUnchanged|TestPrometheusExposition|TestTraced|TestSlowRequest|TestObs|TestDebugObs|TestDecisionLedger|TestJournalRecords|TestTimelinePoint' ./internal/rpc/
-	$(GO) test -count=1 -run 'TestDirTraced|TestDirEnvelope|TestDirObs' ./internal/dkv/
+	$(GO) test -count=1 -run 'TestDirTraced|TestDirHeader|TestDirObs' ./internal/dkv/
 
 # Batched remote data plane benchmark (the PR 5 scatter-gather work): two
 # cache nodes over loopback, eight miss-heavy clients hammering a hot set
@@ -184,9 +183,9 @@ fuzz:
 # plain tests (no exploration), fast enough to gate `make all` on. Covers
 # the cache service's frame entry (the retired opcodes 6/7/9/10, truncated
 # headers, bad budgets and hops, and stray directory-replica opcodes), the
-# directory dispatcher
-# (including the membership, multi-lookup, ring-view-exchange and shard
-# hand-off opcodes), and the wire framing.
+# directory's frame entry (the membership, multi-lookup, ring-view-exchange
+# and shard hand-off opcodes, the retired envelope opcodes 10/14, truncated
+# headers, bad budgets and hops), and the wire framing.
 fuzz-short:
 	$(GO) test -run 'FuzzServerDispatch' -count=1 ./internal/rpc/
 	$(GO) test -run 'FuzzDirDispatch' -count=1 ./internal/dkv/

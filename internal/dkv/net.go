@@ -3,25 +3,28 @@ package dkv
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
-	"sync"
 	"time"
 
 	"icache/internal/dataset"
 	"icache/internal/obs"
-	"icache/internal/overload"
 	"icache/internal/retry"
+	"icache/internal/transport"
 	"icache/internal/wire"
 )
 
 // The paper's §III-E shares the directory between nodes through "a
 // distributed key-value store". This file provides that deployment shape: a
 // TCP service exposing the Directory operations, and a client that cache
-// nodes use in place of the in-process map. The protocol reuses the shared
-// wire framing.
+// nodes use in place of the in-process map. Both ride the shared transport
+// (internal/transport): the fixed request header carries the opcode, the
+// trace context and the deadline budget, and one pipelined client
+// connection carries many directory calls at once. This file is the
+// directory's opcode table and its typed encoders.
 
-// Directory-service opcodes. opTraced (= 10) lives in obs.go.
+// Directory-service opcodes. Numbers 10 and 14 belonged to the retired
+// trace and deadline envelopes (both now travel in the request header);
+// they are answered as unknown opcodes and must not be reused.
 const (
 	opLookup      = 1
 	opClaim       = 2
@@ -41,33 +44,28 @@ const (
 // corrupt frame or abuse, and the server refuses rather than allocating.
 const maxLookupBatch = 1 << 20
 
-// Response status codes.
-const (
-	statusOK  = 0
-	statusErr = 1
-)
-
-// DirServer serves a Directory over TCP.
+// DirServer serves a Directory over the shared transport.
+//
+// Locking: a request takes only the Directory's mutex, inside the
+// Directory method it calls, before its answer is written.
+// replicaState.mu (replica.go) covers view and lease bookkeeping; ring
+// exchanges with peer replicas run outside it. No dkv lock is held across
+// network I/O, on the server or in DirClient.
 type DirServer struct {
 	dir *Directory
 
 	// rep is the ring-membership state when the server runs as one replica
-	// of a partitioned directory (see replica.go); nil on legacy servers.
+	// of a partitioned directory (see replica.go); nil on a single
+	// directory.
 	rep *replicaState
 
-	ln      net.Listener
-	conns   sync.WaitGroup
-	connMu  sync.Mutex
-	connSet map[net.Conn]struct{}
-	closed  chan struct{}
+	// tr is the accept loop, header decode and admission (its Gate,
+	// installed by SetAdmission) in front of handle.
+	tr *transport.Server
 
 	// obs is the optional observability state (see obs.go); zero value =
 	// everything off.
 	obs dirObs
-
-	// gate is the optional admission controller on data operations (see
-	// overload.go); nil = everything admitted.
-	gate *overload.Gate
 
 	// journal, when set, receives shard hand-off events; SetJournal also
 	// arms the wrapped Directory's membership-flip events.
@@ -84,180 +82,67 @@ func (s *DirServer) SetJournal(j *obs.Journal) {
 
 // NewDirServer wraps dir for network service.
 func NewDirServer(dir *Directory) *DirServer {
-	return &DirServer{
-		dir:     dir,
-		connSet: make(map[net.Conn]struct{}),
-		closed:  make(chan struct{}),
-	}
+	s := &DirServer{dir: dir}
+	s.tr = transport.NewServer(s.handle, dirDataOp, nil)
+	return s
 }
 
 // Serve accepts connections until Close. It always returns a non-nil error
 // (net.ErrClosed after a clean shutdown).
-func (s *DirServer) Serve(ln net.Listener) error {
-	s.connMu.Lock()
-	select {
-	case <-s.closed:
-		// Closed before serving began: nothing will close ln for us.
-		s.connMu.Unlock()
-		ln.Close()
-		return net.ErrClosed
-	default:
-	}
-	s.ln = ln
-	s.connMu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			select {
-			case <-s.closed:
-				return net.ErrClosed
-			default:
-				return err
-			}
-		}
-		// Register under connMu, checking closed there: Close sweeps
-		// connSet under the same lock after closing s.closed, so a
-		// connection accepted as Close runs is either swept or refused
-		// here — never registered after the sweep, where Close would wait
-		// on it until the client hung up.
-		s.connMu.Lock()
-		select {
-		case <-s.closed:
-			s.connMu.Unlock()
-			conn.Close()
-			continue
-		default:
-		}
-		s.connSet[conn] = struct{}{}
-		s.conns.Add(1)
-		s.connMu.Unlock()
-		go func() {
-			defer func() {
-				s.connMu.Lock()
-				delete(s.connSet, conn)
-				s.connMu.Unlock()
-				s.conns.Done()
-			}()
-			s.serveConn(conn)
-		}()
-	}
-}
+func (s *DirServer) Serve(ln net.Listener) error { return s.tr.Serve(ln) }
 
 // ListenAndServe listens on addr and serves until Close.
-func (s *DirServer) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
+func (s *DirServer) ListenAndServe(addr string) error { return s.tr.ListenAndServe(addr) }
 
 // Addr reports the bound address once serving.
-func (s *DirServer) Addr() net.Addr {
-	s.connMu.Lock()
-	defer s.connMu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
-}
+func (s *DirServer) Addr() net.Addr { return s.tr.Addr() }
 
 // Close stops the server and closes live connections.
-func (s *DirServer) Close() error {
-	s.connMu.Lock()
-	select {
-	case <-s.closed:
-		s.connMu.Unlock()
-		return nil
-	default:
-	}
-	close(s.closed)
-	var err error
-	if s.ln != nil {
-		err = s.ln.Close()
-	}
-	for conn := range s.connSet {
-		conn.Close()
-	}
-	s.connMu.Unlock()
-	s.conns.Wait()
-	return err
+func (s *DirServer) Close() error { return s.tr.Close() }
+
+// handle answers one directory request inline on the connection's read
+// loop (transport.Handler). Directory work is a short map operation under
+// the Directory's mutex, cheaper than handing it to a goroutine, and body
+// is consumed before the loop reads the next frame. The serve time is
+// recorded before the answer is written (the dir_serve histogram when
+// enabled; a KindRPCRecv span at the carried hop, Arg = opcode, when the
+// request is traced).
+func (s *DirServer) handle(c *transport.Conn, h transport.Header, body []byte) {
+	defer c.Done(h)
+	measure := s.obs.histsOn() || s.obs.tracing(h.Trace)
+	// A failed write needs no handling here: the read loop sees the same
+	// broken connection on its next read and closes it.
+	_ = c.Reply(h.ID, func(e *wire.Buffer) {
+		var t0 time.Time
+		if measure {
+			t0 = time.Now()
+		}
+		s.dispatch(h, body, e)
+		if measure {
+			s.obs.record(h, time.Since(t0))
+		}
+	})
 }
 
-// serveConn is one directory connection's request loop. Directory ops are
-// tiny and extremely frequent (every claim/lookup/release in the cluster
-// lands here), so the loop reuses one request read buffer per connection
-// and encodes responses into pooled wire buffers — after warmup a
-// directory round trip allocates nothing on the server.
-func (s *DirServer) serveConn(conn net.Conn) {
-	defer conn.Close()
-	var rbuf []byte
-	for {
-		req, err := wire.ReadFrameInto(conn, rbuf)
-		if err != nil {
-			return
-		}
-		rbuf = req[:0]
-		e := wire.GetBuffer()
-		s.dispatchCtx(req, e, obs.TraceCtx{})
-		err = wire.WriteFrame(conn, e.B)
-		wire.PutBuffer(e)
-		if err != nil {
-			return
-		}
-	}
-}
-
-// dispatchInto decodes one request and appends the response into e. The
-// request buffer may be reused after return (nothing from req is
-// retained).
-func (s *DirServer) dispatchInto(req []byte, e *wire.Buffer) {
-	d := wire.NewReader(req)
-	op := d.U8()
-	if op == opDeadline {
-		budget := d.I64()
-		if d.Err != nil {
-			dirError(e, d.Err)
-			return
-		}
-		inner := d.B[d.Off:]
-		if len(inner) == 0 {
-			dirError(e, errors.New("dkv: empty deadline envelope"))
-			return
-		}
-		if inner[0] == opDeadline {
-			dirError(e, errors.New("dkv: nested deadline envelope"))
-			return
-		}
-		// The budget is the sender's remaining time at encode; directory
-		// work is sub-millisecond, so arrival with nothing left is the only
-		// expired case worth answering.
-		if budget <= 0 {
-			e.U8(statusExpired)
-			return
-		}
-		s.dispatchInto(inner, e)
+// dispatch decodes one request body and appends the status and response
+// body into e. Protocol errors are answered, never fatal.
+func (s *DirServer) dispatch(h transport.Header, body []byte, e *wire.Buffer) {
+	// Directory work is sub-millisecond, so a budget already spent when the
+	// request reaches its handler is the only expired case worth answering;
+	// it is answered before the directory is touched.
+	if !h.Deadline.IsZero() && !time.Now().Before(h.Deadline) {
+		e.U8(transport.StatusExpired)
 		return
 	}
-	// Admission: data operations only — liveness and gossip must survive
-	// overload (see overload.go).
-	if s.gate != nil && dirDataOp(op) {
-		ok, after := s.gate.Admit(time.Now())
-		if !ok {
-			e.U8(statusRetryAfter)
-			e.I64(int64(after))
-			return
-		}
-		defer s.gate.Done()
-	}
-	switch op {
+	d := wire.NewReader(body)
+	switch h.Op {
 	case opLookup:
 		id := dataset.SampleID(d.I64())
 		if d.Err != nil {
 			dirError(e, d.Err)
 			return
 		}
-		e.U8(statusOK)
+		e.U8(transport.StatusOK)
 		if node, ok := s.dir.Lookup(id); ok {
 			e.U8(1)
 			e.I64(int64(node))
@@ -283,7 +168,7 @@ func (s *DirServer) dispatchInto(req []byte, e *wire.Buffer) {
 			return
 		}
 		owners := s.dir.LookupBatch(ids)
-		e.U8(statusOK)
+		e.U8(transport.StatusOK)
 		e.U32(uint32(len(owners)))
 		for _, o := range owners {
 			if o.Found {
@@ -300,7 +185,7 @@ func (s *DirServer) dispatchInto(req []byte, e *wire.Buffer) {
 			dirError(e, d.Err)
 			return
 		}
-		e.U8(statusOK)
+		e.U8(transport.StatusOK)
 		if s.dir.Claim(id, node) {
 			e.U8(1)
 		} else {
@@ -313,14 +198,14 @@ func (s *DirServer) dispatchInto(req []byte, e *wire.Buffer) {
 			dirError(e, d.Err)
 			return
 		}
-		e.U8(statusOK)
+		e.U8(transport.StatusOK)
 		if s.dir.Release(id, node) {
 			e.U8(1)
 		} else {
 			e.U8(0)
 		}
 	case opLen:
-		e.U8(statusOK)
+		e.U8(transport.StatusOK)
 		e.I64(int64(s.dir.Len()))
 	case opRegister:
 		node := NodeID(d.I64())
@@ -330,7 +215,7 @@ func (s *DirServer) dispatchInto(req []byte, e *wire.Buffer) {
 			return
 		}
 		info := s.dir.Register(node, ttl)
-		e.U8(statusOK)
+		e.U8(transport.StatusOK)
 		e.U8(byte(info.State))
 		e.I64(int64(info.ExpiresIn))
 	case opHeartbeat:
@@ -339,7 +224,7 @@ func (s *DirServer) dispatchInto(req []byte, e *wire.Buffer) {
 			dirError(e, d.Err)
 			return
 		}
-		e.U8(statusOK)
+		e.U8(transport.StatusOK)
 		if s.dir.HeartbeatNode(node) {
 			e.U8(1)
 		} else {
@@ -347,7 +232,7 @@ func (s *DirServer) dispatchInto(req []byte, e *wire.Buffer) {
 		}
 	case opListNodes:
 		nodes := s.dir.ListNodes()
-		e.U8(statusOK)
+		e.U8(transport.StatusOK)
 		e.U32(uint32(len(nodes)))
 		for _, n := range nodes {
 			e.I64(int64(n.ID))
@@ -362,7 +247,7 @@ func (s *DirServer) dispatchInto(req []byte, e *wire.Buffer) {
 			return
 		}
 		ids := s.dir.OwnedBy(node, max)
-		e.U8(statusOK)
+		e.U8(transport.StatusOK)
 		e.U32(uint32(len(ids)))
 		for _, id := range ids {
 			e.I64(int64(id))
@@ -373,7 +258,7 @@ func (s *DirServer) dispatchInto(req []byte, e *wire.Buffer) {
 			dirError(e, d.Err)
 			return
 		}
-		e.U8(statusOK)
+		e.U8(transport.StatusOK)
 		e.I64(int64(s.dir.PurgeDead(max)))
 	case opRingView:
 		if s.rep == nil {
@@ -386,7 +271,7 @@ func (s *DirServer) dispatchInto(req []byte, e *wire.Buffer) {
 			return
 		}
 		view := s.handleRingView(sender, remote)
-		e.U8(statusOK)
+		e.U8(transport.StatusOK)
 		encodeRingView(e, s.rep.self, view)
 	case opHandoff:
 		if s.rep == nil {
@@ -404,58 +289,35 @@ func (s *DirServer) dispatchInto(req []byte, e *wire.Buffer) {
 			return
 		}
 		dropped, epoch := s.handleHandoff(sender, remote, max)
-		e.U8(statusOK)
+		e.U8(transport.StatusOK)
 		e.I64(int64(dropped))
 		e.I64(int64(epoch))
 	default:
-		dirError(e, fmt.Errorf("dkv: unknown opcode %d", op))
+		dirError(e, fmt.Errorf("dkv: unknown opcode %d", h.Op))
 	}
 }
 
-func dirError(e *wire.Buffer, err error) {
-	e.U8(statusErr)
-	e.Str(err.Error())
-}
+func dirError(e *wire.Buffer, err error) { transport.AppendError(e, err.Error()) }
 
-// ServerError is an application-level statusErr reply: the transport round
+// ServerError is an application-level StatusErr reply: the transport round
 // trip succeeded and the server answered with an error. Distinguishing it
 // from transport failure matters to the ring — a ServerError proves the
-// peer is alive (e.g. a legacy server refusing a ring opcode).
-type ServerError struct{ Msg string }
-
-// Error implements the error interface.
-func (e *ServerError) Error() string { return "dkv: server error: " + e.Msg }
+// peer is alive (e.g. a single-directory server refusing a ring opcode).
+type ServerError = transport.ServerError
 
 // DirClient is a node's connection to the directory service. It satisfies
 // the fallible Service contract (like the in-process Directory via Local),
 // so a cache node can be wired to either.
 //
-// The client is resilient: transport failures are retried under an
-// exponential-backoff-with-jitter policy with a fresh connection per
-// attempt. Every directory operation is idempotent (Lookup is pure, Claim
-// is first-claim-wins and re-claiming one's own item succeeds, Release of
-// a non-owned item is a no-op), so blind retry is safe.
+// The client is the shared transport's: one pipelined connection, so
+// concurrent directory calls overlap instead of queueing behind each other,
+// with transport failures retried under an exponential-backoff-with-jitter
+// policy. Every directory operation is idempotent (Lookup is pure, Claim is
+// first-claim-wins and re-claiming one's own item succeeds, Release of a
+// non-owned item is a no-op), so blind retry is safe. No lock is held
+// across a round trip.
 type DirClient struct {
-	addr    string
-	timeout time.Duration
-	policy  retry.Policy
-
-	mu     sync.Mutex
-	conn   net.Conn
-	closed bool
-	rng    *rand.Rand
-
-	retries int64
-	redials int64
-
-	// rpcTimeout bounds each round trip via a connection deadline (see
-	// SetRPCTimeout; 0 = unbounded). breaker, when installed, fails calls
-	// fast while the directory is unresponsive (see SetBreaker). desynced
-	// marks the connection poisoned by a timeout mid-exchange (a response
-	// may still be in flight), forcing a redial before the next request.
-	rpcTimeout time.Duration
-	breaker    *overload.Breaker
-	desynced   bool
+	tc *transport.Client
 }
 
 // DialDir connects to a directory service with the default retry policy.
@@ -464,169 +326,64 @@ func DialDir(addr string, timeout time.Duration) (*DirClient, error) {
 }
 
 // DialDirPolicy connects with an explicit retry policy governing the
-// initial dial and every subsequent round trip.
+// initial dial and every subsequent round trip. A directory that sheds is
+// alive, so sheds count as breaker successes (see SetBreaker).
 func DialDirPolicy(addr string, timeout time.Duration, policy retry.Policy) (*DirClient, error) {
-	c := &DirClient{
-		addr:    addr,
-		timeout: timeout,
-		policy:  policy,
-		rng:     rand.New(rand.NewSource(int64(len(addr))*0x5D17 + 3)),
-	}
-	err := retry.Do(policy, c.rng, nil, func(int) error {
-		conn, err := net.DialTimeout("tcp", addr, timeout)
-		if err != nil {
-			return err
-		}
-		c.conn = conn
-		return nil
-	})
+	tc, err := transport.Dial(addr, transport.Config{Timeout: timeout, Policy: policy, ShedIsHealthy: true})
 	if err != nil {
-		return nil, fmt.Errorf("dkv: dial %s: %w", addr, err)
+		return nil, fmt.Errorf("dkv: %w", err)
 	}
-	return c, nil
+	return &DirClient{tc: tc}, nil
 }
 
-// Close tears down the connection.
-func (c *DirClient) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.closed = true
-	return c.conn.Close()
-}
+// Close tears down the connection; calls in flight fail.
+func (c *DirClient) Close() error { return c.tc.Close() }
 
 // Resilience reports how many round trips needed a retry and how many
 // redials succeeded over the client's lifetime.
-func (c *DirClient) Resilience() (retries, redials int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.retries, c.redials
-}
+func (c *DirClient) Resilience() (retries, redials int64) { return c.tc.Resilience() }
 
-// redial replaces the connection (mu held).
-func (c *DirClient) redial() error {
-	conn, err := net.DialTimeout("tcp", c.addr, c.timeout)
+// call sends one directory request — header, then whatever encode appends —
+// and hands the response body to decode. A non-zero deadline rides the
+// header as the request's budget and bounds the local wait; a zero one
+// falls back to the configured RPC timeout. The pooled response buffer is
+// recycled once decode returns, so decoders copy out everything they keep.
+// The request is a small private buffer, not a pooled 4 KB one: a node's
+// peer reads keep the pool drained, so a pooled request would mostly be a
+// fresh 4 KB allocation.
+func (c *DirClient) call(op byte, tc obs.TraceCtx, dl time.Time, encode func(e *wire.Buffer), decode func(d *wire.Reader) error) error {
+	e := wire.Buffer{B: make([]byte, 0, 64)}
+	transport.AppendHeader(&e, op, tc, transport.Budget(dl))
+	if encode != nil {
+		encode(&e)
+	}
+	d, owner, err := c.tc.RoundTrip(e.B, c.tc.Tighten(dl))
 	if err != nil {
-		return err
+		return fmt.Errorf("dkv: %w", err)
 	}
-	c.conn.Close()
-	c.conn = conn
-	c.redials++
-	return nil
+	err = decode(d)
+	wire.PutBuffer(owner)
+	return err
 }
 
-func (c *DirClient) roundTrip(req []byte) (*wire.Reader, error) {
-	return c.roundTripDeadline(req, time.Time{})
-}
-
-// roundTripDeadline is the round-trip core. A non-zero deadline (or, when
-// zero, the configured rpcTimeout) bounds each attempt's network wait via
-// a connection deadline, and the retry loop stops spawning attempts once
-// the deadline passes. The breaker (if installed) gates entry and absorbs
-// the outcome.
-func (c *DirClient) roundTripDeadline(req []byte, dl time.Time) (*wire.Reader, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if b := c.breaker; b != nil && !b.Allow(time.Now()) {
-		return nil, fmt.Errorf("dkv: %s: %w", c.addr, overload.ErrBreakerOpen)
-	}
-	if dl.IsZero() && c.rpcTimeout > 0 {
-		dl = time.Now().Add(c.rpcTimeout)
-	}
-	var resp []byte
-	retried := false
-	err := retry.Do(c.policy, c.rng, nil, func(attempt int) error {
-		if c.closed {
-			return retry.Permanent(fmt.Errorf("dkv: client for %s is closed", c.addr))
-		}
-		if attempt > 0 {
-			retried = true
-			if !dl.IsZero() && !time.Now().Before(dl) {
-				return retry.Permanent(fmt.Errorf("dkv: %s: retry budget spent: %w", c.addr, overload.ErrExpired))
-			}
-			if err := c.redial(); err != nil {
-				return fmt.Errorf("dkv: redial %s: %w", c.addr, err)
-			}
-			c.desynced = false
-		} else if c.desynced {
-			// A previous call timed out mid-exchange: the old connection may
-			// still deliver that stale response, so it must not be reused.
-			if err := c.redial(); err != nil {
-				return fmt.Errorf("dkv: redial %s: %w", c.addr, err)
-			}
-			c.desynced = false
-		}
-		if !dl.IsZero() {
-			c.conn.SetDeadline(dl)
-			defer c.conn.SetDeadline(time.Time{})
-		}
-		if err := wire.WriteFrame(c.conn, req); err != nil {
-			if isTimeoutErr(err) {
-				c.desynced = true
-				return retry.Permanent(fmt.Errorf("dkv: send: %w", err))
-			}
-			return fmt.Errorf("dkv: send: %w", err)
-		}
-		r, err := wire.ReadFrame(c.conn)
-		if err != nil {
-			if isTimeoutErr(err) {
-				// Request is out, response unread: the conn is desynchronized
-				// and a retry would only turn "late" into "later".
-				c.desynced = true
-				return retry.Permanent(fmt.Errorf("dkv: receive: %w", err))
-			}
-			return fmt.Errorf("dkv: receive: %w", err)
-		}
-		resp = r
-		return nil
-	})
-	if retried {
-		c.retries++
-	}
-	if err != nil {
-		c.reportBreakerLocked(err)
-		return nil, err
-	}
-	d := wire.NewReader(resp)
-	var callErr error
-	switch status := d.U8(); status {
-	case statusOK:
-		c.reportBreakerLocked(nil)
-		return d, nil
-	case statusErr:
-		callErr = &ServerError{Msg: d.Str()}
-	case statusRetryAfter:
-		callErr = &overload.RetryAfterError{After: time.Duration(d.I64())}
-	case statusExpired:
-		callErr = errDirExpired
-	default:
-		callErr = fmt.Errorf("dkv: unknown status %d", status)
-	}
-	c.reportBreakerLocked(callErr)
-	return nil, callErr
-}
-
-// reportBreakerLocked feeds one outcome to the breaker (mu held; the
-// Breaker has its own mutex but keeping the call under mu keeps the
-// install-before-share contract trivially safe).
-func (c *DirClient) reportBreakerLocked(err error) {
-	if b := c.breaker; b != nil {
-		b.Report(time.Now(), dirBreakerOutcomeOK(err))
+// flag decodes a u8 boolean answer.
+func flag(out *bool) func(d *wire.Reader) error {
+	return func(d *wire.Reader) error {
+		*out = d.U8() == 1
+		return d.Err
 	}
 }
 
 // Lookup reports which node owns id, if any.
-func (c *DirClient) Lookup(id dataset.SampleID) (NodeID, bool, error) {
-	var e wire.Buffer
-	e.U8(opLookup)
-	e.I64(int64(id))
-	d, err := c.roundTrip(e.B)
-	if err != nil {
-		return 0, false, err
-	}
-	if d.U8() == 0 {
-		return 0, false, d.Err
-	}
-	return NodeID(d.I64()), true, d.Err
+func (c *DirClient) Lookup(id dataset.SampleID) (node NodeID, found bool, err error) {
+	err = c.call(opLookup, obs.TraceCtx{}, time.Time{}, func(e *wire.Buffer) { e.I64(int64(id)) },
+		func(d *wire.Reader) error {
+			if d.U8() == 1 {
+				node, found = NodeID(d.I64()), true
+			}
+			return d.Err
+		})
+	return node, found, err
 }
 
 // LookupBatch resolves the owners of many ids in ONE wire round trip,
@@ -635,169 +392,167 @@ func (c *DirClient) Lookup(id dataset.SampleID) (NodeID, bool, error) {
 // questions costs one frame each way instead of len(ids) serial exchanges.
 // An empty ids slice short-circuits without touching the network.
 func (c *DirClient) LookupBatch(ids []dataset.SampleID) ([]Owner, error) {
+	return c.lookupBatch(ids, obs.TraceCtx{}, time.Time{})
+}
+
+// LookupBatchDeadline is LookupBatch bounded by the caller's deadline: the
+// remaining budget rides the request header (the directory answers
+// expired, without touching its map, once the lookup is unservable) and
+// the local wait is cut off at the same instant. A zero deadline is plain
+// LookupBatch. The rpc layer probes for it when forwarding
+// deadline-bounded lookups.
+func (c *DirClient) LookupBatchDeadline(ids []dataset.SampleID, dl time.Time) ([]Owner, error) {
+	return c.lookupBatch(ids, obs.TraceCtx{}, dl)
+}
+
+// LookupBatchTraced is LookupBatch carrying a trace context addressed to
+// the directory server (the caller passes its own context's Next()), so a
+// traced cache request's batched ownership lookup appears in the
+// cross-node hop chain. A zero context sends the plain request. The rpc
+// layer probes for it when forwarding traced lookups.
+func (c *DirClient) LookupBatchTraced(ids []dataset.SampleID, ctx obs.TraceCtx) ([]Owner, error) {
+	return c.lookupBatch(ids, ctx, time.Time{})
+}
+
+func (c *DirClient) lookupBatch(ids []dataset.SampleID, tc obs.TraceCtx, dl time.Time) (out []Owner, err error) {
 	if len(ids) == 0 {
 		return nil, nil
 	}
-	var e wire.Buffer
-	e.U8(opLookupBatch)
-	e.U32(uint32(len(ids)))
-	for _, id := range ids {
-		e.I64(int64(id))
-	}
-	d, err := c.roundTrip(e.B)
+	err = c.call(opLookupBatch, tc, dl, func(e *wire.Buffer) {
+		e.U32(uint32(len(ids)))
+		for _, id := range ids {
+			e.I64(int64(id))
+		}
+	}, func(d *wire.Reader) error {
+		n := int(d.U32())
+		if d.Err != nil {
+			return d.Err
+		}
+		if n != len(ids) {
+			return fmt.Errorf("dkv: lookup batch length mismatch: sent %d, got %d", len(ids), n)
+		}
+		out = make([]Owner, n)
+		for i := range out {
+			if d.U8() == 1 {
+				out[i] = Owner{Node: NodeID(d.I64()), Found: true}
+			}
+		}
+		return d.Err
+	})
 	if err != nil {
 		return nil, err
 	}
-	return decodeLookupBatchResponse(d, len(ids))
-}
-
-// decodeLookupBatchResponse decodes the per-id owner entries of an
-// opLookupBatch response, aligned with the want ids the caller sent.
-func decodeLookupBatchResponse(d *wire.Reader, want int) ([]Owner, error) {
-	n := int(d.U32())
-	if d.Err != nil {
-		return nil, d.Err
-	}
-	if n != want {
-		return nil, fmt.Errorf("dkv: lookup batch length mismatch: sent %d, got %d", want, n)
-	}
-	out := make([]Owner, n)
-	for i := 0; i < n; i++ {
-		if d.U8() == 1 {
-			out[i] = Owner{Node: NodeID(d.I64()), Found: true}
-		}
-		if d.Err != nil {
-			return nil, d.Err
-		}
-	}
-	return out, d.Err
+	return out, nil
 }
 
 // Claim registers node as the owner of id (first claim wins).
-func (c *DirClient) Claim(id dataset.SampleID, node NodeID) (bool, error) {
-	var e wire.Buffer
-	e.U8(opClaim)
-	e.I64(int64(id))
-	e.I64(int64(node))
-	d, err := c.roundTrip(e.B)
-	if err != nil {
-		return false, err
-	}
-	return d.U8() == 1, d.Err
+func (c *DirClient) Claim(id dataset.SampleID, node NodeID) (claimed bool, err error) {
+	err = c.call(opClaim, obs.TraceCtx{}, time.Time{}, func(e *wire.Buffer) {
+		e.I64(int64(id))
+		e.I64(int64(node))
+	}, flag(&claimed))
+	return claimed, err
 }
 
 // Release removes node's ownership of id.
-func (c *DirClient) Release(id dataset.SampleID, node NodeID) (bool, error) {
-	var e wire.Buffer
-	e.U8(opRelease)
-	e.I64(int64(id))
-	e.I64(int64(node))
-	d, err := c.roundTrip(e.B)
-	if err != nil {
-		return false, err
-	}
-	return d.U8() == 1, d.Err
+func (c *DirClient) Release(id dataset.SampleID, node NodeID) (released bool, err error) {
+	err = c.call(opRelease, obs.TraceCtx{}, time.Time{}, func(e *wire.Buffer) {
+		e.I64(int64(id))
+		e.I64(int64(node))
+	}, flag(&released))
+	return released, err
 }
 
 // Len reports the number of owned items.
-func (c *DirClient) Len() (int, error) {
-	var e wire.Buffer
-	e.U8(opLen)
-	d, err := c.roundTrip(e.B)
-	if err != nil {
-		return 0, err
-	}
-	return int(d.I64()), d.Err
+func (c *DirClient) Len() (n int, err error) {
+	err = c.call(opLen, obs.TraceCtx{}, time.Time{}, nil, func(d *wire.Reader) error {
+		n = int(d.I64())
+		return d.Err
+	})
+	return n, err
 }
 
 // Register grants (or re-grants) node a lease of the given TTL (<= 0
 // selects the directory default). Registration is idempotent — re-running
 // it just re-stamps the lease — so blind retry under the client's backoff
 // policy is safe.
-func (c *DirClient) Register(node NodeID, ttl time.Duration) (NodeInfo, error) {
-	var e wire.Buffer
-	e.U8(opRegister)
-	e.I64(int64(node))
-	e.I64(int64(ttl))
-	d, err := c.roundTrip(e.B)
+func (c *DirClient) Register(node NodeID, ttl time.Duration) (info NodeInfo, err error) {
+	err = c.call(opRegister, obs.TraceCtx{}, time.Time{}, func(e *wire.Buffer) {
+		e.I64(int64(node))
+		e.I64(int64(ttl))
+	}, func(d *wire.Reader) error {
+		info = NodeInfo{ID: node, State: NodeState(d.U8()), ExpiresIn: time.Duration(d.I64())}
+		return d.Err
+	})
 	if err != nil {
 		return NodeInfo{}, err
 	}
-	info := NodeInfo{ID: node, State: NodeState(d.U8()), ExpiresIn: time.Duration(d.I64())}
-	return info, d.Err
+	return info, nil
 }
 
 // Heartbeat renews node's lease; renewed == false means the lease lapsed
 // and the node must Register again and reconcile its ownership.
-func (c *DirClient) Heartbeat(node NodeID) (bool, error) {
-	var e wire.Buffer
-	e.U8(opHeartbeat)
-	e.I64(int64(node))
-	d, err := c.roundTrip(e.B)
-	if err != nil {
-		return false, err
-	}
-	return d.U8() == 1, d.Err
+func (c *DirClient) Heartbeat(node NodeID) (renewed bool, err error) {
+	err = c.call(opHeartbeat, obs.TraceCtx{}, time.Time{}, func(e *wire.Buffer) { e.I64(int64(node)) }, flag(&renewed))
+	return renewed, err
 }
 
 // ListNodes reports every registered node's membership state.
-func (c *DirClient) ListNodes() ([]NodeInfo, error) {
-	var e wire.Buffer
-	e.U8(opListNodes)
-	d, err := c.roundTrip(e.B)
+func (c *DirClient) ListNodes() (out []NodeInfo, err error) {
+	err = c.call(opListNodes, obs.TraceCtx{}, time.Time{}, nil, func(d *wire.Reader) error {
+		n := int(d.U32())
+		for i := 0; i < n && d.Err == nil; i++ {
+			out = append(out, NodeInfo{
+				ID:        NodeID(d.I64()),
+				State:     NodeState(d.U8()),
+				ExpiresIn: time.Duration(d.I64()),
+			})
+		}
+		return d.Err
+	})
 	if err != nil {
 		return nil, err
 	}
-	n := int(d.U32())
-	out := make([]NodeInfo, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, NodeInfo{
-			ID:        NodeID(d.I64()),
-			State:     NodeState(d.U8()),
-			ExpiresIn: time.Duration(d.I64()),
-		})
-		if d.Err != nil {
-			return nil, d.Err
-		}
-	}
-	return out, d.Err
+	return out, nil
 }
 
 // OwnedBy reports up to max of node's directory entries (sorted).
-func (c *DirClient) OwnedBy(node NodeID, max int) ([]dataset.SampleID, error) {
-	if max < 0 {
-		max = 0 // 0 means "all" on the server
-	}
-	var e wire.Buffer
-	e.U8(opOwnedBy)
-	e.I64(int64(node))
-	e.U32(uint32(max))
-	d, err := c.roundTrip(e.B)
+func (c *DirClient) OwnedBy(node NodeID, max int) (out []dataset.SampleID, err error) {
+	err = c.call(opOwnedBy, obs.TraceCtx{}, time.Time{}, func(e *wire.Buffer) {
+		e.I64(int64(node))
+		e.U32(uint32(clampMax(max)))
+	}, decodeIDs(&out))
 	if err != nil {
 		return nil, err
 	}
-	n := int(d.U32())
-	out := make([]dataset.SampleID, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, dataset.SampleID(d.I64()))
-		if d.Err != nil {
-			return nil, d.Err
+	return out, nil
+}
+
+// decodeIDs decodes a u32 n | n × i64 id answer.
+func decodeIDs(out *[]dataset.SampleID) func(d *wire.Reader) error {
+	return func(d *wire.Reader) error {
+		n := int(d.U32())
+		for i := 0; i < n && d.Err == nil; i++ {
+			*out = append(*out, dataset.SampleID(d.I64()))
 		}
+		return d.Err
 	}
-	return out, d.Err
 }
 
 // PurgeDead garbage-collects up to max Dead-owned entries server-side.
-func (c *DirClient) PurgeDead(max int) (int, error) {
+func (c *DirClient) PurgeDead(max int) (n int, err error) {
+	err = c.call(opPurgeDead, obs.TraceCtx{}, time.Time{}, func(e *wire.Buffer) { e.U32(uint32(clampMax(max))) },
+		func(d *wire.Reader) error {
+			n = int(d.I64())
+			return d.Err
+		})
+	return n, err
+}
+
+// clampMax maps a negative cap to 0, which means "all" on the server.
+func clampMax(max int) int {
 	if max < 0 {
-		max = 0 // 0 means "all" on the server
+		return 0
 	}
-	var e wire.Buffer
-	e.U8(opPurgeDead)
-	e.U32(uint32(max))
-	d, err := c.roundTrip(e.B)
-	if err != nil {
-		return 0, err
-	}
-	return int(d.I64()), d.Err
+	return max
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"icache/internal/retry"
+	"icache/internal/transport"
 	"icache/internal/wire"
 )
 
@@ -108,15 +109,15 @@ func TestDirServerRejectsBadOpcode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := wire.WriteFrame(conn, []byte{0xEE}); err != nil {
+	if err := wire.WriteFrame(conn, req(0xEE)); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := wire.ReadFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp[0] != statusErr {
-		t.Fatalf("bad opcode answered %d", resp[0])
+	if resp[transport.RespHeaderLen] != transport.StatusErr {
+		t.Fatalf("bad opcode answered %d", resp[transport.RespHeaderLen])
 	}
 }
 
@@ -169,7 +170,7 @@ func TestDirClientRidesThroughMidFrameCloses(t *testing.T) {
 				}(conn)
 				continue
 			}
-			go srv.serveConn(conn)
+			go srv.tr.ServeConn(conn)
 		}
 	}()
 

@@ -6,8 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"icache/internal/dataset"
 	"icache/internal/obs"
 	"icache/internal/trace"
+	"icache/internal/transport"
 	"icache/internal/wire"
 )
 
@@ -37,23 +39,23 @@ func TestDirTracedLookup(t *testing.T) {
 	c := dialDir(t, addr)
 
 	// A plain lookup and a traced lookup must return the same answer.
-	node, ok, err := c.Lookup(7)
-	if err != nil || !ok || node != 3 {
-		t.Fatalf("Lookup = (%d, %v, %v)", node, ok, err)
+	owners, err := c.LookupBatch([]dataset.SampleID{7})
+	if err != nil || !owners[0].Found || owners[0].Node != 3 {
+		t.Fatalf("LookupBatch = (%v, %v)", owners, err)
 	}
 	ctx := obs.TraceCtx{ID: 0xfeed, Hop: 2}
-	node, ok, err = c.LookupTraced(7, ctx)
-	if err != nil || !ok || node != 3 {
-		t.Fatalf("LookupTraced = (%d, %v, %v)", node, ok, err)
+	owners, err = c.LookupBatchTraced([]dataset.SampleID{7}, ctx)
+	if err != nil || !owners[0].Found || owners[0].Node != 3 {
+		t.Fatalf("LookupBatchTraced = (%v, %v)", owners, err)
 	}
-	// Miss through the envelope, too.
-	_, ok, err = c.LookupTraced(1234, ctx)
-	if err != nil || ok {
-		t.Fatalf("LookupTraced(absent) = (%v, %v)", ok, err)
+	// A traced miss, too.
+	owners, err = c.LookupBatchTraced([]dataset.SampleID{1234}, ctx)
+	if err != nil || owners[0].Found {
+		t.Fatalf("LookupBatchTraced(absent) = (%v, %v)", owners, err)
 	}
 
 	// The traced lookups (and only those) produced RPCRecv spans at the
-	// carried hop, tagged with the inner opcode.
+	// hop their headers carried, tagged with the opcode.
 	var spans []trace.Event
 	for _, e := range tracer.Snapshot() {
 		if e.Kind.IsSpan() {
@@ -70,8 +72,8 @@ func TestDirTracedLookup(t *testing.T) {
 		if sp.TraceID != 0xfeed || sp.Hop != 2 {
 			t.Fatalf("span ctx = (%016x, %d), want (feed, 2)", sp.TraceID, sp.Hop)
 		}
-		if sp.Arg != opLookup {
-			t.Fatalf("span arg %d, want inner opcode %d", sp.Arg, opLookup)
+		if sp.Arg != opLookupBatch {
+			t.Fatalf("span arg %d, want opcode %d", sp.Arg, opLookupBatch)
 		}
 	}
 
@@ -87,61 +89,69 @@ func TestDirTracedLookup(t *testing.T) {
 	}
 
 	// A zero trace context degrades to the plain request.
-	if _, _, err := c.LookupTraced(7, obs.TraceCtx{}); err != nil {
+	if _, err := c.LookupBatchTraced([]dataset.SampleID{7}, obs.TraceCtx{}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestDirEnvelopeRejections pins the envelope's safety properties at the
-// dispatch layer: nested envelopes and zero trace IDs are errors, and a
-// truncated envelope fails cleanly.
-func TestDirEnvelopeRejections(t *testing.T) {
-	srv := NewDirServer(NewDirectory())
+// TestDirHeaderRejections pins the request header's safety properties at
+// the directory's frame entry: a hop without a trace ID and a negative
+// budget are answered as errors, a retired envelope opcode (10 = trace,
+// 14 = deadline) is an unknown opcode even when it wraps a well-formed
+// lookup, a spent budget is answered expired before the directory is
+// touched, and a truncated header closes the connection.
+func TestDirHeaderRejections(t *testing.T) {
+	dir := NewDirectory()
+	dir.Claim(7, 3)
+	srv := NewDirServer(dir)
 	srv.EnableObs(obs.NewRegistry(), trace.NewRecorder(16))
 
-	dispatch := func(req []byte) (status byte, msg string) {
-		var e wire.Buffer
-		srv.dispatchCtx(req, &e, obs.TraceCtx{})
-		d := wire.NewReader(e.B)
+	answer := func(frame []byte) (status byte, msg string) {
+		t.Helper()
+		resp, closed := serveOneFrame(t, srv, frame)
+		if closed {
+			t.Fatalf("frame %x closed the connection", frame)
+		}
+		d := wire.NewReader(resp[transport.RespHeaderLen:])
 		status = d.U8()
-		if status == statusErr {
+		if status == transport.StatusErr {
 			msg = d.Str()
 		}
 		return status, msg
 	}
+	lookup7 := []byte{0, 0, 0, 0, 0, 0, 0, 7}
 
-	envelope := func(id uint64, hop uint8, inner []byte) []byte {
-		var e wire.Buffer
-		e.U8(opTraced)
-		e.I64(int64(id))
-		e.U8(hop)
-		e.B = append(e.B, inner...)
-		return e.B
-	}
-	var lookup wire.Buffer
-	lookup.U8(opLookup)
-	lookup.I64(7)
-
-	// Well-formed envelope dispatches fine.
-	if st, msg := dispatch(envelope(9, 1, lookup.B)); st != statusOK {
+	// A well-formed traced, bounded lookup dispatches fine.
+	if st, msg := answer(rawRequest(opLookup, 1, 9, 1, int64(time.Minute), lookup7...)); st != transport.StatusOK {
 		t.Fatalf("traced lookup rejected: %s", msg)
 	}
-	// Nested envelope is rejected.
-	if st, msg := dispatch(envelope(9, 1, envelope(9, 2, lookup.B))); st != statusErr || !strings.Contains(msg, "nested") {
-		t.Fatalf("nested envelope: status %d msg %q", st, msg)
+	// Retired envelopes are unknown opcodes.
+	for _, op := range []byte{10, 14} {
+		inner := append([]byte{0, 0, 0, 0, 0, 0, 0, 9, 1, opLookup}, lookup7...)
+		if st, msg := answer(req(op, inner...)); st != transport.StatusErr || !strings.Contains(msg, "unknown opcode") {
+			t.Fatalf("retired opcode %d: status %d msg %q", op, st, msg)
+		}
 	}
-	// Zero trace ID is rejected.
-	if st, msg := dispatch(envelope(0, 1, lookup.B)); st != statusErr {
-		t.Fatalf("zero trace id accepted: status %d msg %q", st, msg)
+	// A hop without a trace ID is rejected.
+	if st, msg := answer(rawRequest(opLookup, 2, 0, 1, 0, lookup7...)); st != transport.StatusErr {
+		t.Fatalf("hop without trace id accepted: status %d msg %q", st, msg)
 	}
-	// Truncated envelope fails cleanly.
-	if st, _ := dispatch([]byte{opTraced, 1, 2}); st != statusErr {
-		t.Fatalf("truncated envelope accepted: status %d", st)
+	// A negative budget is rejected.
+	if st, msg := answer(rawRequest(opLookup, 3, 0, 0, -1, lookup7...)); st != transport.StatusErr {
+		t.Fatalf("negative budget accepted: status %d msg %q", st, msg)
+	}
+	// A spent budget is answered expired.
+	if st, _ := answer(rawRequest(opLookup, 4, 0, 0, 1, lookup7...)); st != transport.StatusExpired {
+		t.Fatalf("spent budget answered status %d, want expired", st)
+	}
+	// A truncated header fails cleanly: the connection closes.
+	if _, closed := serveOneFrame(t, srv, []byte{opLookup, 1, 2}); !closed {
+		t.Fatal("truncated header answered instead of closing the connection")
 	}
 }
 
 // TestDirObsDisabledIsInert pins the nil-recorder contract: a server with
-// no observability wiring serves traced envelopes correctly (the context
+// no observability wiring serves traced requests correctly (the context
 // is simply dropped) and records nothing.
 func TestDirObsDisabledIsInert(t *testing.T) {
 	dir := NewDirectory()
@@ -161,9 +171,9 @@ func TestDirObsDisabledIsInert(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	node, ok, err := c.LookupTraced(7, obs.TraceCtx{ID: 5, Hop: 1})
-	if err != nil || !ok || node != 3 {
-		t.Fatalf("LookupTraced on plain server = (%d, %v, %v)", node, ok, err)
+	owners, err := c.LookupBatchTraced([]dataset.SampleID{7}, obs.TraceCtx{ID: 5, Hop: 1})
+	if err != nil || !owners[0].Found || owners[0].Node != 3 {
+		t.Fatalf("LookupBatchTraced on plain server = (%v, %v)", owners, err)
 	}
 	if srv.ObsRegistry() != nil {
 		t.Fatal("registry materialized on a plain server")

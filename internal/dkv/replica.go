@@ -310,18 +310,6 @@ func (rs *replicaState) peerClient(r ReplicaID) (*DirClient, error) {
 	return c, nil
 }
 
-// dropPeerClient forgets r's exchange client after a transport failure so
-// the next cycle redials.
-func (rs *replicaState) dropPeerClient(r ReplicaID) {
-	rs.mu.Lock()
-	c := rs.clients[r]
-	delete(rs.clients, r)
-	rs.mu.Unlock()
-	if c != nil {
-		c.Close()
-	}
-}
-
 // ExchangeRing runs one ring-exchange cycle: offer the local view to every
 // configured peer (sorted order), renew leases on any reply — a statusErr
 // from a legacy peer is still proof of life — merge newer views, then
@@ -350,8 +338,7 @@ func (s *DirServer) ExchangeRing() bool {
 		}
 		remote, legacy, err := c.RingViewExchange(self, view)
 		if err != nil {
-			rs.dropPeerClient(r)
-			continue
+			continue // the client redials on its next call
 		}
 		rs.mu.Lock()
 		rs.renewPeer(r, rs.now())
@@ -377,9 +364,8 @@ func (s *DirServer) ExchangeRing() bool {
 			if err != nil {
 				continue
 			}
-			if _, _, err := c.Handoff(self, next, max); err != nil {
-				rs.dropPeerClient(r)
-			}
+			// A failed push is retried by the next cycle's exchange.
+			_, _, _ = c.Handoff(self, next, max)
 		}
 		return true
 	}
@@ -458,19 +444,17 @@ func decodeRingView(d *wire.Reader) (ReplicaID, RingView, error) {
 // answered the opcode with an error): the peer is alive but has no view to
 // merge.
 func (c *DirClient) RingViewExchange(sender ReplicaID, view RingView) (remote RingView, legacy bool, err error) {
-	var e wire.Buffer
-	e.U8(opRingView)
-	encodeRingView(&e, sender, view)
-	d, err := c.roundTrip(e.B)
-	if err != nil {
-		if isServerError(err) {
-			return RingView{}, true, nil
-		}
-		return RingView{}, false, err
+	err = c.call(opRingView, obs.TraceCtx{}, time.Time{}, func(e *wire.Buffer) { encodeRingView(e, sender, view) },
+		func(d *wire.Reader) error {
+			var derr error
+			_, remote, derr = decodeRingView(d)
+			return derr
+		})
+	if isServerError(err) {
+		return RingView{}, true, nil
 	}
-	_, remote, derr := decodeRingView(d)
-	if derr != nil {
-		return RingView{}, false, derr
+	if err != nil {
+		return RingView{}, false, err
 	}
 	return remote, false, nil
 }
@@ -479,18 +463,13 @@ func (c *DirClient) RingViewExchange(sender ReplicaID, view RingView) (remote Ri
 // for shards it no longer owns (max <= 0 defers to the server's cap). It
 // returns the server's drop count and current epoch.
 func (c *DirClient) Handoff(sender ReplicaID, view RingView, max int) (dropped int, epoch uint64, err error) {
-	var e wire.Buffer
-	e.U8(opHandoff)
-	encodeRingView(&e, sender, view)
-	if max < 0 {
-		max = 0
-	}
-	e.U32(uint32(max))
-	d, err := c.roundTrip(e.B)
-	if err != nil {
-		return 0, 0, err
-	}
-	dropped = int(d.I64())
-	epoch = uint64(d.I64())
-	return dropped, epoch, d.Err
+	err = c.call(opHandoff, obs.TraceCtx{}, time.Time{}, func(e *wire.Buffer) {
+		encodeRingView(e, sender, view)
+		e.U32(uint32(clampMax(max)))
+	}, func(d *wire.Reader) error {
+		dropped = int(d.I64())
+		epoch = uint64(d.I64())
+		return d.Err
+	})
+	return dropped, epoch, err
 }

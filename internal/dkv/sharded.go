@@ -282,25 +282,6 @@ func (s *ShardedDir) Lookup(id dataset.SampleID) (NodeID, bool, error) {
 	return node, found, err
 }
 
-// LookupTraced routes a traced lookup to id's shard holder, forwarding the
-// trace context when the replica's service supports it (DirClient does).
-func (s *ShardedDir) LookupTraced(id dataset.SampleID, ctx obs.TraceCtx) (NodeID, bool, error) {
-	var node NodeID
-	var found bool
-	err := s.doSharded(id, func(svc Service) error {
-		var err error
-		if td, ok := svc.(interface {
-			LookupTraced(dataset.SampleID, obs.TraceCtx) (NodeID, bool, error)
-		}); ok && ctx.Valid() {
-			node, found, err = td.LookupTraced(id, ctx)
-		} else {
-			node, found, err = svc.Lookup(id)
-		}
-		return err
-	})
-	return node, found, err
-}
-
 // Claim registers node as the owner of id on id's shard holder.
 func (s *ShardedDir) Claim(id dataset.SampleID, node NodeID) (bool, error) {
 	var claimed bool

@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// TraceCtx is the compact cross-node request-tracing context carried in an
-// optional wire-frame envelope through the rpc and dkv protocols: a 64-bit
+// TraceCtx is the compact cross-node request-tracing context carried in
+// every request header of the rpc and dkv services: a 64-bit
 // trace ID plus a hop counter. Hop 0 is the training client; each
 // downstream network hop (cache node → peer owner, cache node → directory)
 // increments it. The zero value means "untraced" — ID 0 is never issued.

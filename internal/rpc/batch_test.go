@@ -8,6 +8,7 @@ package rpc
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -73,9 +74,7 @@ func waitNoConns(t *testing.T, srv *Server) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		srv.connMu.Lock()
-		n := len(srv.connSet)
-		srv.connMu.Unlock()
+		n := srv.tr.Conns()
 		if n == 0 {
 			return
 		}
@@ -84,6 +83,42 @@ func waitNoConns(t *testing.T, srv *Server) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+}
+
+// hangUpListener wraps the first accepted connection in a hangUpConn.
+type hangUpListener struct {
+	net.Listener
+	once sync.Once
+}
+
+func (l *hangUpListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.once.Do(func() { c = &hangUpConn{Conn: c} })
+	}
+	return c, err
+}
+
+// hangUpConn is a server-side connection that answers its first request
+// and hangs up on the next one, as a crashed server does mid-exchange.
+type hangUpConn struct {
+	net.Conn
+	replied atomic.Bool
+}
+
+func (c *hangUpConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.replied.Store(true)
+	return n, err
+}
+
+func (c *hangUpConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if c.replied.Load() {
+		c.Conn.Close()
+		return 0, io.EOF
+	}
+	return n, err
 }
 
 // TestCleanCloseLogsNothing pins the EOF contract of the connection loop: a
@@ -110,26 +145,22 @@ func TestCleanCloseLogsNothing(t *testing.T) {
 				lines = append(lines, fmt.Sprintf(format, args...))
 				mu.Unlock()
 			}
-			addr := serveOn(t, srv)
-
-			c := dial(t, addr)
-			if err := c.Ping(); err != nil {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
 				t.Fatal(err)
 			}
 			if tc.retry {
-				// Swap in a session whose far end swallows one request and
-				// hangs up: the first attempt fails mid-call, so the retry
-				// takes the one-shot connection.
-				near, far := net.Pipe()
-				go func() {
-					readFrame(far)
-					far.Close()
-				}()
-				c.muxMu.Lock()
-				old := c.mux
-				c.mux = newMuxSession(near, 0)
-				c.muxMu.Unlock()
-				old.close()
+				// The session's server end answers the ping, then hangs up on
+				// the next request: that call fails mid-exchange, so its
+				// retry takes the one-shot connection.
+				ln = &hangUpListener{Listener: ln}
+			}
+			go srv.Serve(ln)
+			t.Cleanup(func() { srv.Close() })
+
+			c := dial(t, ln.Addr().String())
+			if err := c.Ping(); err != nil {
+				t.Fatal(err)
 			}
 			if _, err := c.GetBatch([]dataset.SampleID{1, 2, 3}); err != nil {
 				t.Fatal(err)

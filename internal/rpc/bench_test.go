@@ -16,6 +16,7 @@ import (
 	"icache/internal/sampling"
 	"icache/internal/storage"
 	"icache/internal/trace"
+	"icache/internal/transport"
 )
 
 // slowSource wraps a ByteSource with a fixed per-fetch service time,
@@ -175,11 +176,11 @@ func BenchmarkServeHitPath(b *testing.B) {
 	for j := range ids {
 		ids[j] = dataset.SampleID(rng.Intn(hotSet))
 	}
-	h, body, err := decodeRequestHeader(encodeGetBatchRequest(ids), time.Now())
+	h, body, err := transport.DecodeHeader(encodeGetBatchRequest(ids), time.Now())
 	if err != nil {
 		b.Fatal(err)
 	}
-	cs := &connState{conn: discardConn{}, sem: make(chan struct{}, muxServerInflight)}
+	cs := srv.tr.NewConn(discardConn{})
 
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -1,14 +1,10 @@
 package rpc
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
-	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"icache/internal/dataset"
@@ -17,31 +13,20 @@ import (
 	"icache/internal/retry"
 	"icache/internal/sampling"
 	"icache/internal/trace"
+	"icache/internal/transport"
 	"icache/internal/wire"
 )
 
 // ErrDeadlineExceeded classifies every deadline-driven failure of a round
 // trip — a local per-call timeout as well as the server answering
 // statusExpired. Callers (the load harness's goodput accounting) match it
-// with errors.Is; the two flavors below stay distinguishable internally
-// because only the local timeout counts against the circuit breaker.
-var ErrDeadlineExceeded = errors.New("rpc: deadline exceeded")
-
-// errCallTimeout: the client gave up waiting locally (per-RPC timer or
-// SetDeadline fired). The peer may be hung — a breaker failure.
-var errCallTimeout = fmt.Errorf("call timed out: %w", ErrDeadlineExceeded)
-
-// errExpiredByServer: the server answered promptly that the budget had run
-// out before it would start the work. The peer is healthy — not a breaker
-// failure.
-var errExpiredByServer = fmt.Errorf("server dropped expired request: %w", ErrDeadlineExceeded)
+// with errors.Is.
+var ErrDeadlineExceeded = transport.ErrDeadlineExceeded
 
 // ServerError is an application error the server reported in a statusErr
 // frame. The transport worked; these are never retried and never trip the
 // circuit breaker.
-type ServerError struct{ Msg string }
-
-func (e *ServerError) Error() string { return "rpc: server error: " + e.Msg }
+type ServerError = transport.ServerError
 
 // Client is the framework-side iCache client module (the role the paper's
 // iCacheImageFolder plays inside PyTorch): it forwards data-loader requests
@@ -49,7 +34,7 @@ func (e *ServerError) Error() string { return "rpc: server error: " + e.Msg }
 //
 // A Client owns one TCP connection carrying pipelined requests: N
 // goroutines can have N frames in flight at once, matched back to their
-// callers by a demux reader goroutine (mux.go).
+// callers by a demux reader goroutine (internal/transport).
 //
 // The client is resilient by default: a transport failure triggers
 // redial-and-retry under an exponential-backoff-with-jitter policy
@@ -57,30 +42,7 @@ func (e *ServerError) Error() string { return "rpc: server error: " + e.Msg }
 // server restarts — servers come back warm via checkpoints. Application
 // errors reported by the server (status frames) are never retried.
 type Client struct {
-	addr    string
-	timeout time.Duration
-	policy  retry.Policy
-	rng     *rand.Rand          // jitter PRNG; thread-safe via lockedSource
-	sleep   func(time.Duration) // nil = time.Sleep; tests may stub
-
-	// rpcTimeout bounds every round trip (0 = unbounded) with a per-call
-	// timer. A context deadline passed through the *Ctx APIs tightens (never
-	// loosens) this bound.
-	rpcTimeout time.Duration
-
-	// breaker is the per-peer circuit breaker (nil = disabled). Shared with
-	// the owner (the distState keeps one per NodeID across reconnects):
-	// Allow gates every round trip, Report feeds transport outcomes back.
-	breaker *overload.Breaker
-
-	retries int64 // atomic: round trips that needed at least one retry
-	redials int64 // atomic: successful connection re-establishments
-
-	// muxMu guards the current session generation and the closed flag.
-	muxInflight int // per-session in-flight bound
-	muxMu       sync.Mutex
-	mux         *muxSession
-	closed      bool
+	tc *transport.Client
 
 	// Observability (EnableObs; all nil/zero when disabled). rtHist times
 	// whole round trips (retries included); tracer+sampler arm 1-in-N
@@ -93,11 +55,9 @@ type Client struct {
 	obsStart time.Time
 }
 
-// defaultMuxInflight bounds outstanding requests per multiplexed
-// connection when the dialer does not choose a limit (the -peer-inflight
-// knob): deep enough to keep a batched miss path busy, shallow enough that
-// one sick peer cannot absorb unbounded request goroutines.
-const defaultMuxInflight = 32
+// defaultMuxInflight bounds outstanding requests per connection when the
+// dialer does not choose a limit (the -peer-inflight knob).
+const defaultMuxInflight = transport.DefaultInflight
 
 // DialConfig parameterizes DialConfigured. The zero value selects the
 // defaults Dial uses.
@@ -133,297 +93,52 @@ func DialPolicy(addr string, timeout time.Duration, policy retry.Policy) (*Clien
 
 // DialConfigured connects with explicit transport configuration.
 func DialConfigured(addr string, cfg DialConfig) (*Client, error) {
-	policy := cfg.Policy
-	if policy == (retry.Policy{}) {
-		policy = retry.Default()
-	}
-	inflight := cfg.MuxInflight
-	if inflight <= 0 {
-		inflight = defaultMuxInflight
-	}
-	c := &Client{
-		addr:        addr,
-		timeout:     cfg.Timeout,
-		policy:      policy,
-		rng:         rand.New(newLockedSource(int64(len(addr))*0x9E37 + 1)),
-		muxInflight: inflight,
-		rpcTimeout:  cfg.RPCTimeout,
-		breaker:     cfg.Breaker,
-		obsStart:    time.Now(),
-	}
-	err := retry.Do(policy, c.rng, c.sleep, func(int) error {
-		conn, err := net.DialTimeout("tcp", addr, cfg.Timeout)
-		if err != nil {
-			return err
-		}
-		c.mux = newMuxSession(conn, c.muxInflight)
-		return nil
+	tc, err := transport.Dial(addr, transport.Config{
+		Timeout:    cfg.Timeout,
+		Policy:     cfg.Policy,
+		Inflight:   cfg.MuxInflight,
+		RPCTimeout: cfg.RPCTimeout,
+		Breaker:    cfg.Breaker,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("rpc: dial %s: %w", addr, err)
+		return nil, fmt.Errorf("rpc: %w", err)
 	}
-	return c, nil
+	return &Client{tc: tc, obsStart: time.Now()}, nil
 }
 
 // Close tears down the connection and waits for the demux reader to exit.
-func (c *Client) Close() error {
-	c.muxMu.Lock()
-	c.closed = true
-	m := c.mux
-	c.mux = nil
-	c.muxMu.Unlock()
-	if m != nil {
-		m.close()
-	}
-	return nil
-}
+func (c *Client) Close() error { return c.tc.Close() }
 
 // Resilience reports how many round trips needed a retry and how many
 // redials succeeded over the client's lifetime.
-func (c *Client) Resilience() (retries, redials int64) {
-	return atomic.LoadInt64(&c.retries), atomic.LoadInt64(&c.redials)
-}
+func (c *Client) Resilience() (retries, redials int64) { return c.tc.Resilience() }
 
-// roundTrip sends one request frame and decodes the status byte of the
-// response, returning the remaining body. Transport failures (broken
-// connection, failed write/read) are retried under the client's policy
-// with a fresh connection per attempt; server status errors surface
-// immediately.
-func (c *Client) roundTrip(req []byte) (*reader, error) {
-	d, _, err := c.roundTripOwned(req)
-	// The pooled backing buffer (if any) is intentionally dropped, not
-	// recycled: this path hands decoded bytes out by reference with an
-	// unbounded lifetime. Borrowed-read callers use roundTripOwned.
+// roundTrip sends one request frame and returns the response body after
+// the status byte. Transport failures are retried under the client's
+// policy; server status errors surface immediately. The pooled backing
+// buffer is dropped, not recycled: this path hands decoded bytes out by
+// reference with an unbounded lifetime.
+func (c *Client) roundTrip(req []byte) (*wire.Reader, error) {
+	d, _, err := c.roundTripDeadline(req, c.tc.CallDeadline())
 	return d, err
 }
 
-// roundTripOwned is roundTrip, additionally returning the pooled buffer
-// backing the response when the transport read into one (nil otherwise).
-// A caller that can prove it retains nothing from the reader recycles the
-// buffer with wire.PutBuffer; status errors recycle it internally.
-func (c *Client) roundTripOwned(req []byte) (*reader, *wire.Buffer, error) {
-	return c.roundTripDeadline(req, c.callDeadline())
-}
-
-// callDeadline is the default per-call bound from the client's configured
-// RPCTimeout (zero time = unbounded).
-func (c *Client) callDeadline() time.Time {
-	if c.rpcTimeout > 0 {
-		return time.Now().Add(c.rpcTimeout)
-	}
-	return time.Time{}
-}
-
-// tightenDeadline combines a caller-supplied deadline with the client's
-// configured RPCTimeout, returning whichever bound is earlier (zero time =
-// unbounded on that side).
-func (c *Client) tightenDeadline(dl time.Time) time.Time {
-	cd := c.callDeadline()
-	if dl.IsZero() {
-		return cd
-	}
-	if cd.IsZero() || dl.Before(cd) {
-		return dl
-	}
-	return cd
-}
-
-// roundTripDeadline is the round-trip core. A non-zero deadline bounds the
-// whole call — every attempt's network wait AND the retry backoff between
-// attempts — so a caller's budget is honored even when the transport hangs
-// rather than fails. When a circuit breaker is configured it gates entry
-// (open breaker = fail fast, no network) and absorbs the outcome.
-func (c *Client) roundTripDeadline(req []byte, deadline time.Time) (*reader, *wire.Buffer, error) {
-	if b := c.breaker; b != nil && !b.Allow(time.Now()) {
-		return nil, nil, fmt.Errorf("rpc: %s: %w", c.addr, overload.ErrBreakerOpen)
-	}
+// roundTripDeadline is the round trip under a deadline (see
+// transport.Client.RoundTrip), timed into the client_round_trip stage when
+// observability is on. It also returns the pooled buffer backing the
+// response (nil when none): a caller that retains nothing from the reader
+// recycles it with wire.PutBuffer.
+func (c *Client) roundTripDeadline(req []byte, deadline time.Time) (*wire.Reader, *wire.Buffer, error) {
 	var t0 time.Time
 	if c.rtHist != nil {
 		t0 = time.Now()
 		defer func() { c.rtHist.Since(t0) }()
 	}
-	var resp []byte
-	var owner *wire.Buffer
-	retried := false
-	err := retry.Do(c.policy, c.rng, c.sleep, func(attempt int) error {
-		if attempt > 0 {
-			retried = true
-			// Budget check before a retry: a doomed attempt would only turn
-			// "late" into "later". The first attempt always runs — an already
-			// expired budget still reaches the server, which answers
-			// statusExpired and keeps the accounting honest.
-			if !deadline.IsZero() && !time.Now().Before(deadline) {
-				return retry.Permanent(fmt.Errorf("rpc: %s: retry budget spent: %w", c.addr, errCallTimeout))
-			}
-		}
-		r, o, err := c.attempt(req, attempt > 0, deadline)
-		if err != nil {
-			return err
-		}
-		resp, owner = r, o
-		return nil
-	})
-	if retried {
-		atomic.AddInt64(&c.retries, 1)
-	}
+	d, owner, err := c.tc.RoundTrip(req, deadline)
 	if err != nil {
-		c.reportBreaker(err)
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("rpc: %w", err)
 	}
-	d := newReader(resp)
-	var callErr error
-	switch status := d.u8(); status {
-	case statusOK:
-		c.reportBreaker(nil)
-		return d, owner, nil
-	case statusErr:
-		callErr = &ServerError{Msg: d.str()}
-	case statusRetryAfter:
-		callErr = &overload.RetryAfterError{After: time.Duration(d.i64())}
-	case statusExpired:
-		callErr = errExpiredByServer
-	default:
-		callErr = fmt.Errorf("rpc: unknown status %d", status)
-	}
-	wire.PutBuffer(owner)
-	c.reportBreaker(callErr)
-	return nil, nil, callErr
-}
-
-// reportBreaker feeds one round-trip outcome to the breaker (if any).
-func (c *Client) reportBreaker(err error) {
-	if b := c.breaker; b != nil {
-		b.Report(time.Now(), breakerOutcomeOK(err))
-	}
-}
-
-// breakerOutcomeOK maps a round-trip result to peer health. Application
-// errors (statusErr) and server-side expiry mean the peer answered — those
-// are successes for the circuit. Transport failures, local timeouts, and
-// shed rejections (a browned-out peer asking callers to go away) are the
-// failures that should open it.
-func breakerOutcomeOK(err error) bool {
-	if err == nil {
-		return true
-	}
-	var se *ServerError
-	if errors.As(err, &se) {
-		return true
-	}
-	return errors.Is(err, errExpiredByServer)
-}
-
-// attempt performs one exchange. The first attempt goes over the shared
-// session; isRetry sends a retried attempt over a ONE-SHOT connection
-// instead of re-establishing the session inline: the retry's success must
-// not depend on the session machinery (demux reader, pipelined peers on
-// the same connection) coming back healthy — a plain dial-exchange-close
-// is the most failure-independent path available, and the next regular
-// request re-establishes the session lazily. This also breaks
-// deterministic failure resonance: a fault schedule that keys on
-// per-connection I/O patterns (the chaos suite's DropEvery rules) would
-// otherwise hit a fresh session at the same relative offset on every
-// retry.
-func (c *Client) attempt(req []byte, isRetry bool, deadline time.Time) ([]byte, *wire.Buffer, error) {
-	if isRetry {
-		resp, err := c.oneShot(req, deadline)
-		return resp, nil, err
-	}
-	sess, err := c.session()
-	if err != nil {
-		return nil, nil, err
-	}
-	resp, owner, err := sess.doOwned(req, deadline)
-	if err != nil {
-		if errors.Is(err, errCallTimeout) {
-			// The SESSION is fine — only this call ran out of time.
-			// Tearing it down would fail its pipelined peers.
-			return nil, nil, retry.Permanent(err)
-		}
-		c.muxFailed(sess)
-		return nil, nil, err
-	}
-	return resp, owner, nil
-}
-
-// oneShot performs one exchange on a private dial-and-close connection,
-// never touching the session (a racing goroutine may have installed a
-// healthy new generation we must not disturb).
-func (c *Client) oneShot(req []byte, deadline time.Time) ([]byte, error) {
-	if c.isClosed() {
-		return nil, retry.Permanent(fmt.Errorf("rpc: client for %s is closed", c.addr))
-	}
-	conn, err := net.DialTimeout("tcp", c.addr, c.timeout)
-	if err != nil {
-		return nil, fmt.Errorf("rpc: redial %s: %w", c.addr, err)
-	}
-	defer conn.Close()
-	if !deadline.IsZero() {
-		conn.SetDeadline(deadline)
-	}
-	atomic.AddInt64(&c.redials, 1)
-	if err := writeFrame(conn, req); err != nil {
-		return nil, fmt.Errorf("rpc: send: %w", err)
-	}
-	resp, err := readFrame(conn)
-	if err != nil {
-		if isTimeout(err) {
-			return nil, retry.Permanent(fmt.Errorf("rpc: receive: %w", errCallTimeout))
-		}
-		return nil, fmt.Errorf("rpc: receive: %w", err)
-	}
-	if len(resp) <= respHeaderLen || !bytes.Equal(resp[:respHeaderLen], req[1:1+respHeaderLen]) {
-		return nil, fmt.Errorf("rpc: malformed response frame (%d bytes)", len(resp))
-	}
-	return resp[respHeaderLen:], nil
-}
-
-// session returns a live session, dialing a new generation when the
-// current one is broken.
-func (c *Client) session() (*muxSession, error) {
-	c.muxMu.Lock()
-	defer c.muxMu.Unlock()
-	if c.closed {
-		return nil, retry.Permanent(fmt.Errorf("rpc: client for %s is closed", c.addr))
-	}
-	if c.mux != nil && !c.mux.broken() {
-		return c.mux, nil
-	}
-	if c.mux != nil {
-		c.mux.close()
-		c.mux = nil
-	}
-	conn, err := net.DialTimeout("tcp", c.addr, c.timeout)
-	if err != nil {
-		return nil, fmt.Errorf("rpc: redial %s: %w", c.addr, err)
-	}
-	atomic.AddInt64(&c.redials, 1)
-	c.mux = newMuxSession(conn, c.muxInflight)
-	return c.mux, nil
-}
-
-// muxFailed discards a broken session generation so the next attempt dials
-// fresh (generation-based redial: a racing goroutine that already installed
-// a new session is left alone).
-func (c *Client) muxFailed(sess *muxSession) {
-	c.muxMu.Lock()
-	if c.mux == sess {
-		c.mux = nil
-	}
-	c.muxMu.Unlock()
-	sess.close()
-}
-
-func (c *Client) isClosed() bool {
-	c.muxMu.Lock()
-	defer c.muxMu.Unlock()
-	return c.closed
-}
-
-// isTimeout reports whether a transport error is a SetDeadline expiry.
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
+	return d, owner, nil
 }
 
 // GetBatch fetches a mini-batch through the cache (the paper's rpc_loader
@@ -463,14 +178,14 @@ func (c *Client) GetBatchCtx(ctx context.Context, ids []dataset.SampleID) ([]Sam
 // request is encoded into a pooled buffer, recycled once the round trip
 // returns (every attempt's write has completed by then). The caller
 // decodes the response and owns its backing buffer.
-func (c *Client) getBatch(ctx context.Context, ids []dataset.SampleID) (*reader, *wire.Buffer, error) {
+func (c *Client) getBatch(ctx context.Context, ids []dataset.SampleID) (*wire.Reader, *wire.Buffer, error) {
 	deadline, budget, err := c.ctxBounds(ctx)
 	if err != nil {
 		return nil, nil, err
 	}
 	tctx := c.beginTrace()
 	e := wire.GetBuffer()
-	appendRequestHeader(e, opGetBatch, tctx.Next(), budget)
+	transport.AppendHeader(e, opGetBatch, tctx.Next(), budget)
 	appendIDs(e, ids)
 	var t0 time.Time
 	if tctx.Valid() {
@@ -492,11 +207,11 @@ func (c *Client) getBatch(ctx context.Context, ids []dataset.SampleID) (*reader,
 func (c *Client) ctxBounds(ctx context.Context) (deadline time.Time, budget time.Duration, err error) {
 	if ctxErr := ctx.Err(); ctxErr != nil {
 		if errors.Is(ctxErr, context.DeadlineExceeded) {
-			return time.Time{}, 0, fmt.Errorf("rpc: %w", errCallTimeout)
+			return time.Time{}, 0, fmt.Errorf("rpc: call timed out: %w", ErrDeadlineExceeded)
 		}
 		return time.Time{}, 0, ctxErr
 	}
-	deadline = c.callDeadline()
+	deadline = c.tc.CallDeadline()
 	if cd, ok := ctx.Deadline(); ok {
 		budget = time.Until(cd)
 		if budget <= 0 {
@@ -569,8 +284,8 @@ func (c *Client) UpdateImportance(items []sampling.Item) error {
 // repartition, reset substitution state, and roll the loading thread.
 func (c *Client) BeginEpoch(epoch int) error {
 	e := newRequest(opBeginEpoch)
-	e.u32(uint32(epoch))
-	_, err := c.roundTrip(e.payload())
+	e.U32(uint32(epoch))
+	_, err := c.roundTrip(e.B)
 	return err
 }
 
@@ -591,8 +306,8 @@ func (c *Client) PlanPreplace(ids []dataset.SampleID) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	accepted := d.u32()
-	if err := d.err(); err != nil {
+	accepted := d.U32()
+	if err := d.Err; err != nil {
 		return 0, err
 	}
 	return int(accepted), nil
@@ -600,7 +315,7 @@ func (c *Client) PlanPreplace(ids []dataset.SampleID) (int, error) {
 
 // Stats fetches the server's counter snapshot.
 func (c *Client) Stats() (Stats, error) {
-	d, err := c.roundTrip(newRequest(opStats).payload())
+	d, err := c.roundTrip(newRequest(opStats).B)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -609,39 +324,6 @@ func (c *Client) Stats() (Stats, error) {
 
 // Ping checks liveness.
 func (c *Client) Ping() error {
-	_, err := c.roundTrip(newRequest(opPing).payload())
+	_, err := c.roundTrip(newRequest(opPing).B)
 	return err
-}
-
-// lockedSource is a mutex-guarded rand.Source64: the mux transport draws
-// retry jitter from concurrent request goroutines, and the stdlib sources
-// are not safe for concurrent use. Seeded deterministically per client —
-// draw VALUES replay under a fixed seed, though the interleaving across
-// goroutines is scheduling-dependent (jitter only perturbs backoff timing,
-// never logical outcomes).
-type lockedSource struct {
-	mu  sync.Mutex
-	src rand.Source64
-}
-
-func newLockedSource(seed int64) *lockedSource {
-	return &lockedSource{src: rand.NewSource(seed).(rand.Source64)}
-}
-
-func (s *lockedSource) Int63() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.src.Int63()
-}
-
-func (s *lockedSource) Uint64() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.src.Uint64()
-}
-
-func (s *lockedSource) Seed(seed int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.src.Seed(seed)
 }

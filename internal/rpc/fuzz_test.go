@@ -12,6 +12,7 @@ import (
 	"icache/internal/obs"
 	"icache/internal/sampling"
 	"icache/internal/storage"
+	"icache/internal/transport"
 	"icache/internal/wire"
 )
 
@@ -36,12 +37,12 @@ func (c *frameSink) Write(p []byte) (int, error) {
 func serveOneFrame(t *testing.T, srv *Server, req []byte) (resp []byte, closed bool) {
 	t.Helper()
 	sink := &frameSink{}
-	cs := &connState{conn: sink, sem: make(chan struct{}, muxServerInflight)}
-	if err := srv.serveFrame(cs, req); err != nil {
-		cs.wg.Wait()
+	c := srv.tr.NewConn(sink)
+	if err := srv.tr.ServeFrame(c, req); err != nil {
+		c.Wait()
 		return nil, true
 	}
-	cs.wg.Wait()
+	c.Wait()
 	r := bytes.NewReader(sink.buf.Bytes())
 	resp, err := wire.ReadFrame(r)
 	if err != nil {
@@ -97,12 +98,12 @@ func FuzzServerDispatch(f *testing.F) {
 
 	// Every live opcode, well-formed and truncated.
 	f.Add([]byte{})
-	f.Add(newRequest(opPing).payload())
-	f.Add(newRequest(opGetBatch).payload())
+	f.Add(newRequest(opPing).B)
+	f.Add(newRequest(opGetBatch).B)
 	f.Add(encodeGetBatchRequest([]dataset.SampleID{7}))
 	f.Add(rawRequest(opUpdateImportance, 1, 0, 0, 0, []byte{0, 0, 0, 1}))
 	f.Add(rawRequest(opBeginEpoch, 2, 0, 0, 0, []byte{0, 0, 0, 0}))
-	f.Add(newRequest(opStats).payload())
+	f.Add(newRequest(opStats).B)
 	f.Add(rawRequest(0xFF, 3, 0, 0, 0, []byte{0x01, 0x02}))
 	f.Add(encodeGetBatchRequest([]dataset.SampleID{0, 1, 2}))
 	// Batched peer reads: well-formed, truncated id list, and an absurd
@@ -133,7 +134,7 @@ func FuzzServerDispatch(f *testing.F) {
 	f.Add([]byte{13, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 16})
 	// Truncated headers: the request ID alone, and one byte short.
 	f.Add([]byte{opPing, 0, 0, 0, 1})
-	f.Add(newRequest(opPing).payload()[:reqHeaderLen-1])
+	f.Add(newRequest(opPing).B[:transport.HeaderLen-1])
 	// Header values no client sends: a negative budget, and a hop with no
 	// trace ID.
 	f.Add(rawRequest(opGetBatch, 11, 0, 0, -1, idsBody(0, 1)))
@@ -147,18 +148,18 @@ func FuzzServerDispatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, req []byte) {
 		resp, closed := serveOneFrame(t, srv, req)
 		if closed {
-			if len(req) >= reqHeaderLen {
+			if len(req) >= transport.HeaderLen {
 				t.Fatalf("a %d-byte frame with a complete header closed the connection", len(req))
 			}
 			return
 		}
-		if len(resp) < respHeaderLen+1 {
+		if len(resp) < transport.RespHeaderLen+1 {
 			t.Fatalf("short response frame (%d bytes)", len(resp))
 		}
-		if !bytes.Equal(resp[:respHeaderLen], req[1:1+respHeaderLen]) {
-			t.Fatalf("response carries request ID %x, want %x", resp[:respHeaderLen], req[1:1+respHeaderLen])
+		if !bytes.Equal(resp[:transport.RespHeaderLen], req[1:1+transport.RespHeaderLen]) {
+			t.Fatalf("response carries request ID %x, want %x", resp[:transport.RespHeaderLen], req[1:1+transport.RespHeaderLen])
 		}
-		switch status := resp[respHeaderLen]; status {
+		switch status := resp[transport.RespHeaderLen]; status {
 		case statusOK, statusErr, statusExpired:
 		case statusRetryAfter:
 			t.Fatalf("retry-after with no admission gate installed")

@@ -101,10 +101,10 @@ func (s *Server) ServingStats() metrics.ServingStats {
 // Prometheus and this accessor.)
 func (s *Server) OverloadStats() metrics.OverloadStats {
 	out := metrics.OverloadStats{
-		Shed:    atomic.LoadInt64(&s.shedCount),
+		Shed:    s.tr.Shed(),
 		Expired: atomic.LoadInt64(&s.expiredCount),
 	}
-	if g := s.gate; g != nil {
+	if g := s.tr.Gate; g != nil {
 		gs := g.Stats()
 		out.GateState = gs.State.String()
 		out.Inflight = gs.Inflight

@@ -40,7 +40,8 @@ import (
 // Stage names registered by the serving path. Every stage becomes an
 // icache_stage_<name>_seconds histogram on the Prometheus surface.
 const (
-	// StageRequest is the whole GetBatch serve, decode to encode.
+	// StageRequest is the whole GetBatch serve, from decode until the
+	// response write starts.
 	StageRequest = "request"
 	// StagePolicyLockHold is the policyMu critical section of GetBatch.
 	StagePolicyLockHold = "policy_lock_hold"
@@ -94,7 +95,7 @@ type serverObs struct {
 	request, policyLock, localHit, sfWait *obs.Histogram
 	backend, backendQueueWait, prefetchWt *obs.Histogram
 	peerBatch, dirBatch                   *obs.Histogram
-	admissionWait, deadlineRem            *obs.Histogram
+	deadlineRem                           *obs.Histogram
 
 	tracer *trace.Recorder
 
@@ -128,7 +129,7 @@ func (s *Server) EnableObs(reg *obs.Registry, tracer *trace.Recorder) {
 	s.obs.peerBatch = reg.Hist(StagePeerRPCBatch)
 	s.obs.dirBatch = reg.Hist(StageDirLookupBatch)
 	s.obs.prefetchWt = reg.Hist(StagePrefetchQueueWait)
-	s.obs.admissionWait = reg.Hist(StageAdmissionWait)
+	s.tr.AdmissionWait = reg.Hist(StageAdmissionWait)
 	s.obs.deadlineRem = reg.Hist(StageDeadlineRemaining)
 	s.obs.exemplars = &obs.Exemplars{}
 	s.cache.SetSubstitutionScanHist(reg.Hist(StageSubstitutionScan))

@@ -24,6 +24,7 @@ import (
 	"icache/internal/retry"
 	"icache/internal/sampling"
 	"icache/internal/storage"
+	"icache/internal/transport"
 	"icache/internal/wire"
 )
 
@@ -138,10 +139,10 @@ func TestDeadlineExpiredAtServer(t *testing.T) {
 
 	before := source.Reads()
 	var e wire.Buffer
-	appendRequestHeader(&e, opGetBatch, obs.TraceCtx{}, wireBudget(time.Now().Add(-time.Second)))
+	transport.AppendHeader(&e, opGetBatch, obs.TraceCtx{}, transport.Budget(time.Now().Add(-time.Second)))
 	appendIDs(&e, []dataset.SampleID{1, 2})
 	resp, closed := serveOneFrame(t, srv, e.B)
-	if closed || resp[respHeaderLen] != statusExpired {
+	if closed || resp[transport.RespHeaderLen] != statusExpired {
 		t.Fatalf("spent budget answered %x (closed=%v), want statusExpired", resp, closed)
 	}
 	if got := source.Reads() - before; got != 0 {

@@ -16,6 +16,7 @@ import (
 	"icache/internal/retry"
 	"icache/internal/singleflight"
 	"icache/internal/trace"
+	"icache/internal/transport"
 )
 
 // This file adds the distributed deployment of §III-E to the network
@@ -38,6 +39,11 @@ import (
 //   - distState.mu guards only the peer-connection cache. It is a leaf
 //     lock held across nothing but map access and Dial; it never nests
 //     with policyMu or payload-store shard locks.
+//   - the directory and peer clients are the shared transport's
+//     (internal/transport), which holds no lock across a round trip: the
+//     concurrent miss batches of a node overlap their directory lookups
+//     on one directory connection and their peer reads on one connection
+//     per peer, instead of queueing behind each other.
 //   - peer reads (fillPeerPinned in serve_vec.go) touch only the payload
 //     store (shard-locked reads) and atomics — they never take policyMu
 //     and never mutate this node's cache policy state, so a peer storm
@@ -297,7 +303,7 @@ func (c *Client) peerGetBatch(ids []dataset.SampleID, tc obs.TraceCtx, dl time.T
 	}
 	// Payloads are handed out by reference, so the pooled response buffer
 	// is dropped rather than recycled (same contract as roundTrip).
-	d, _, err := c.roundTripDeadline(encodePeerGetBatchRequest(ids, tc, wireBudget(dl)), c.tightenDeadline(dl))
+	d, _, err := c.roundTripDeadline(encodePeerGetBatchRequest(ids, tc, transport.Budget(dl)), c.tc.Tighten(dl))
 	if err != nil {
 		return nil, err
 	}

@@ -14,6 +14,8 @@ import (
 	"icache/internal/icache"
 	"icache/internal/sampling"
 	"icache/internal/storage"
+	"icache/internal/transport"
+	"icache/internal/wire"
 )
 
 func testSpec() dataset.Spec {
@@ -235,17 +237,17 @@ func TestMalformedFrameRejected(t *testing.T) {
 	defer conn.Close()
 	exchange := func(req []byte) []byte {
 		t.Helper()
-		if err := writeFrame(conn, req); err != nil {
+		if err := wire.WriteFrame(conn, req); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := readFrame(conn)
+		resp, err := wire.ReadFrame(conn)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(resp) < respHeaderLen+1 || !bytes.Equal(resp[:respHeaderLen], req[1:1+respHeaderLen]) {
+		if len(resp) < transport.RespHeaderLen+1 || !bytes.Equal(resp[:transport.RespHeaderLen], req[1:1+transport.RespHeaderLen]) {
 			t.Fatalf("response %x does not echo the request ID", resp)
 		}
-		return resp[respHeaderLen:]
+		return resp[transport.RespHeaderLen:]
 	}
 	// Unknown opcode.
 	if resp := exchange(rawRequest(0xFF, 1, 0, 0, 0, nil)); resp[0] != statusErr {
@@ -257,11 +259,11 @@ func TestMalformedFrameRejected(t *testing.T) {
 	}
 	// A frame too short for the header has no trustworthy request ID: the
 	// server closes the connection instead of answering.
-	if err := writeFrame(conn, []byte{0xFF}); err != nil {
+	if err := wire.WriteFrame(conn, []byte{0xFF}); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if resp, err := readFrame(conn); err == nil {
+	if resp, err := wire.ReadFrame(conn); err == nil {
 		t.Fatalf("short header answered with %x; want the connection closed", resp)
 	}
 }
@@ -350,14 +352,14 @@ func TestServerCloseUnblocksServe(t *testing.T) {
 // response's status and body (the server frames the same layout with
 // wire.Vec; see serve_vec.go).
 func encodeGetBatchResponse(samples []Sample) []byte {
-	var e buffer
-	e.u8(statusOK)
-	e.u32(uint32(len(samples)))
+	var e wire.Buffer
+	e.U8(statusOK)
+	e.U32(uint32(len(samples)))
 	for _, s := range samples {
-		e.i64(int64(s.ID))
-		e.bytes(s.Payload)
+		e.I64(int64(s.ID))
+		e.Bytes(s.Payload)
 	}
-	return e.payload()
+	return e.B
 }
 
 func TestFrameRoundTripProperty(t *testing.T) {
@@ -368,8 +370,8 @@ func TestFrameRoundTripProperty(t *testing.T) {
 		samples = append(samples, Sample{ID: id, Payload: spec.Payload(id)})
 	}
 	enc := encodeGetBatchResponse(samples)
-	d := newReader(enc)
-	if st := d.u8(); st != statusOK {
+	d := wire.NewReader(enc)
+	if st := d.U8(); st != statusOK {
 		t.Fatal("status lost")
 	}
 	got, err := decodeGetBatchResponse(d)

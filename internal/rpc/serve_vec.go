@@ -11,6 +11,7 @@ import (
 	"icache/internal/obs"
 	"icache/internal/overload"
 	"icache/internal/trace"
+	"icache/internal/transport"
 	"icache/internal/wire"
 )
 
@@ -87,7 +88,7 @@ func (s *Server) releaseScratch(sc *serveScratch) {
 // handler goroutine.
 func decodeScratch(body []byte) (*serveScratch, error) {
 	sc := getServeScratch()
-	ids, err := decodeGetBatchRequestInto(newReader(body), sc.ids[:0])
+	ids, err := decodeGetBatchRequestInto(wire.NewReader(body), sc.ids[:0])
 	sc.ids = ids
 	return sc, err
 }
@@ -96,48 +97,49 @@ func decodeScratch(body []byte) (*serveScratch, error) {
 // (pinning local hits), frame, one vectored write. The returned error is a
 // connection write error (the caller tears the connection down); protocol
 // and resolution errors are answered in-band. Releases sc on all paths.
-func (s *Server) serveVecDecoded(cs *connState, h requestHeader, sc *serveScratch, derr error) error {
+func (s *Server) serveVecDecoded(c *transport.Conn, h transport.Header, sc *serveScratch, derr error) error {
 	defer s.releaseScratch(sc)
 	if derr != nil {
-		return s.writeVecStatus(cs, h.id, sc, statusErr, derr.Error())
+		return s.writeVecStatus(c, h.ID, sc, statusErr, derr.Error())
 	}
 	var t0 time.Time
-	if s.obs.histsOn() || s.obs.tracing(h.trace) || s.obs.slowThresh > 0 {
+	if s.obs.histsOn() || s.obs.tracing(h.Trace) || s.obs.slowThresh > 0 {
 		t0 = time.Now()
 	}
-	peer := h.op == opPeerGetBatch
+	peer := h.Op == opPeerGetBatch
 	var err error
 	if peer {
 		// The budget may have drained while this request sat in the dispatch
 		// queue (the per-connection semaphore): re-check before touching the
 		// store. Peer reads inherit the originating request's budget.
-		if s.deadlineExpired(h.deadline) {
+		if s.deadlineExpired(h.Deadline) {
 			err = overload.ErrExpired
 		} else {
 			s.fillPeerPinned(sc)
 		}
 	} else {
-		err = s.getBatchPinned(sc.ids, h.trace, sc, h.deadline)
+		err = s.getBatchPinned(sc.ids, h.Trace, sc, h.Deadline)
 	}
 	if err != nil {
 		if errors.Is(err, overload.ErrExpired) {
-			return s.writeVecStatus(cs, h.id, sc, statusExpired, "")
+			return s.writeVecStatus(c, h.ID, sc, statusExpired, "")
 		}
-		return s.writeVecStatus(cs, h.id, sc, statusErr, err.Error())
+		return s.writeVecStatus(c, h.ID, sc, statusErr, err.Error())
 	}
-	werr := s.writeVecResponse(cs, h.id, sc, peer)
+	// Record before the answer is written: a caller holding its answer
+	// then also finds this hop's span and the request in the histograms.
 	if !t0.IsZero() {
 		dur := time.Since(t0)
-		s.span(trace.KindRPCRecv, 0, int64(len(sc.ids)), h.trace, dur)
+		s.span(trace.KindRPCRecv, 0, int64(len(sc.ids)), h.Trace, dur)
 		if !peer {
 			s.obs.request.Record(dur)
 			// Pin this trace as the latency-bucket exemplar: the journal's
 			// bridge from "the p99 bucket moved" to a stitched trace chain.
-			s.obs.exemplars.Record(dur, h.trace.ID)
-			s.maybeLogSlow(h.trace, len(sc.ids), dur)
+			s.obs.exemplars.Record(dur, h.Trace.ID)
+			s.maybeLogSlow(h.Trace, len(sc.ids), dur)
 		}
 	}
-	return werr
+	return s.writeVecResponse(c, h.ID, sc, peer)
 }
 
 // getBatchPinned is the pinned-hit core of GetBatch: policy verdict into
@@ -232,10 +234,9 @@ func (s *Server) fillPeerPinned(sc *serveScratch) {
 }
 
 // writeVecResponse frames sc.out (GetBatch or PeerGetBatch layout) after
-// the echoed request ID and performs the single vectored write under the
-// connection's write mutex. Pins in sc stay held until the caller's
+// the echoed request ID and performs the single vectored write. Pins in sc stay held until the caller's
 // releaseScratch — after the write has fully completed.
-func (s *Server) writeVecResponse(cs *connState, id uint32, sc *serveScratch, peer bool) error {
+func (s *Server) writeVecResponse(c *transport.Conn, id uint32, sc *serveScratch, peer bool) error {
 	v := &sc.vec
 	v.Reset()
 	v.U32(id)
@@ -257,16 +258,13 @@ func (s *Server) writeVecResponse(cs *connState, id uint32, sc *serveScratch, pe
 		v.U32(uint32(len(sp.b)))
 		v.Payload(sp.b)
 	}
-	cs.wmu.Lock()
-	_, err := v.WriteTo(cs.conn)
-	cs.wmu.Unlock()
-	return err
+	return c.WriteVec(v)
 }
 
 // writeVecStatus answers a non-OK status on the vectored path: statusErr
-// carries msg (same bytes as encodeErrorResponseInto), statusExpired has
+// carries msg (same bytes as transport.AppendError), statusExpired has
 // no body.
-func (s *Server) writeVecStatus(cs *connState, id uint32, sc *serveScratch, status byte, msg string) error {
+func (s *Server) writeVecStatus(c *transport.Conn, id uint32, sc *serveScratch, status byte, msg string) error {
 	v := &sc.vec
 	v.Reset()
 	v.U32(id)
@@ -274,8 +272,5 @@ func (s *Server) writeVecStatus(cs *connState, id uint32, sc *serveScratch, stat
 	if status == statusErr {
 		v.Str(msg)
 	}
-	cs.wmu.Lock()
-	_, err := v.WriteTo(cs.conn)
-	cs.wmu.Unlock()
-	return err
+	return c.WriteVec(v)
 }

@@ -3,7 +3,6 @@ package rpc
 import (
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"sync"
@@ -18,6 +17,7 @@ import (
 	"icache/internal/simclock"
 	"icache/internal/singleflight"
 	"icache/internal/trace"
+	"icache/internal/transport"
 	"icache/internal/wire"
 )
 
@@ -43,7 +43,6 @@ type ByteSource interface {
 // is fine, the reverse is forbidden):
 //
 //		policyMu  →  payload-store shard locks (leaf)
-//		connMu (independent leaf: listener/connection bookkeeping only)
 //
 //	  - policyMu guards the icache.Server policy engine (FetchBatch,
 //	    InstallHList, StartEpoch, Stats, Resident, Drop, checkpoints) and is
@@ -55,8 +54,9 @@ type ByteSource interface {
 //	  - payload-store shard locks (see payloadStore in store.go) are leaves:
 //	    taken and released inside single store methods, never held across
 //	    any other acquisition or I/O.
-//	  - connMu guards the listener and the live-connection set; it nests
-//	    with nothing.
+//	  - the transport's own locks (connection set, per-connection write
+//	    mutex, client session pointer) are leaves inside
+//	    internal/transport; none is held across a round trip.
 //
 // The backend read budget (readSlots) is a semaphore, not a lock: a slot
 // is held across exactly one ByteSource.Fetch and nothing is acquired
@@ -110,25 +110,17 @@ type Server struct {
 	missJobs    chan missJob
 	missHelperN atomic.Int64
 	missHelpers sync.WaitGroup
-	// muxInflight gauges requests currently in async dispatch (atomic).
-	muxInflight int64
+	// tr is the shared transport: accept loop, connection set, header
+	// decode, admission (its Gate, installed by SetAdmission) and
+	// per-request dispatch into handle.
+	tr        *transport.Server
+	closeOnce sync.Once
 
-	ln      net.Listener
-	conns   sync.WaitGroup
-	connMu  sync.Mutex
-	connSet map[net.Conn]struct{}
-	closed  chan struct{}
-
-	// gate is the adaptive admission controller (nil = admit everything).
-	// Installed via SetAdmission before Serve; the serving path reads it
-	// without synchronization.
-	gate *overload.Gate
-	// shedCount / expiredCount (atomics) are requests rejected by the gate
-	// and requests dropped because their deadline budget ran out before the
-	// cache was touched. Neither increments any cache counter, so the
-	// conservation identity extends to
+	// expiredCount (atomic) counts requests dropped because their deadline
+	// budget ran out before the cache was touched; the transport counts
+	// the requests the gate shed. Neither increments any cache counter, so
+	// the conservation identity extends to
 	// hits+misses+substitutions+degraded + shed + expired == offered.
-	shedCount    int64
 	expiredCount int64
 
 	// dist holds the §III-E distributed wiring (nil on a lone server).
@@ -163,10 +155,9 @@ func NewServer(cacheSrv *icache.Server, source ByteSource) *Server {
 		payloads:  newPayloadStore(),
 		readSlots: make(chan struct{}, backendReadBudget),
 		missJobs:  make(chan missJob),
-		connSet:   make(map[net.Conn]struct{}),
-		closed:    make(chan struct{}),
 		Logf:      log.Printf,
 	}
+	s.tr = transport.NewServer(s.handle, gatedOp, s.logIfUnexpected)
 	cacheSrv.SetEvictObserver(func(id dataset.SampleID) {
 		// Runs under policyMu (all cache mutations happen under it).
 		// policyMu → shard lock is the legal order; releaseOwnership is
@@ -188,94 +179,24 @@ func (s *Server) now() simclock.Time { return simclock.Time(time.Since(s.start))
 
 // Serve accepts connections on ln until Close is called. It always returns
 // a non-nil error (net.ErrClosed after a clean shutdown).
-func (s *Server) Serve(ln net.Listener) error {
-	s.connMu.Lock()
-	select {
-	case <-s.closed:
-		// Closed before serving began: nothing will close ln for us.
-		s.connMu.Unlock()
-		ln.Close()
-		return net.ErrClosed
-	default:
-	}
-	s.ln = ln
-	s.connMu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			select {
-			case <-s.closed:
-				return net.ErrClosed
-			default:
-				return err
-			}
-		}
-		// Register under connMu, checking closed there: Close sweeps
-		// connSet under the same lock after closing s.closed, so a
-		// connection accepted as Close runs is either swept or refused
-		// here — never registered after the sweep, where Close would wait
-		// on it until the client hung up.
-		s.connMu.Lock()
-		select {
-		case <-s.closed:
-			s.connMu.Unlock()
-			conn.Close()
-			continue
-		default:
-		}
-		s.connSet[conn] = struct{}{}
-		s.conns.Add(1)
-		s.connMu.Unlock()
-		go func() {
-			defer func() {
-				s.connMu.Lock()
-				delete(s.connSet, conn)
-				s.connMu.Unlock()
-				s.conns.Done()
-			}()
-			s.serveConn(conn)
-		}()
-	}
-}
+func (s *Server) Serve(ln net.Listener) error { return s.tr.Serve(ln) }
 
 // ListenAndServe listens on addr and serves until Close.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
+func (s *Server) ListenAndServe(addr string) error { return s.tr.ListenAndServe(addr) }
 
 // Addr reports the bound listener address (once Serve has been called).
-func (s *Server) Addr() net.Addr {
-	s.connMu.Lock()
-	defer s.connMu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
-}
+func (s *Server) Addr() net.Addr { return s.tr.Addr() }
 
 // Close stops accepting and waits for in-flight connections to finish.
+// Later calls return nil once the first has finished.
 func (s *Server) Close() error {
-	s.connMu.Lock()
-	select {
-	case <-s.closed:
-		s.connMu.Unlock()
-		return nil
-	default:
-	}
-	close(s.closed)
 	var err error
-	if s.ln != nil {
-		err = s.ln.Close()
-	}
-	for conn := range s.connSet {
-		conn.Close()
-	}
-	s.connMu.Unlock()
-	s.conns.Wait()
+	s.closeOnce.Do(func() { err = s.close() })
+	return err
+}
+
+func (s *Server) close() error {
+	err := s.tr.Close()
 	s.missHelpers.Wait()
 	// The planner feeds the prefetch pool; stop it first so no planned
 	// enqueue races the pool teardown.
@@ -292,132 +213,37 @@ func (s *Server) Close() error {
 	return err
 }
 
-// serveConn is one connection's request loop. It reuses a single request
-// read buffer across frames: serveFrame decodes or copies everything a
-// handler needs before the next read, so aliasing is safe. Every request
-// is dispatched on its own goroutine (bounded by cs.sem), so a pipelining
-// client gets concurrent service on one connection; all response writes
-// serialize on cs.wmu so frames never interleave. On teardown the
-// connection closes FIRST, then the loop waits for in-flight handlers:
-// stragglers fail their writes fast instead of blocking shutdown.
-func (s *Server) serveConn(conn net.Conn) {
-	cs := &connState{conn: conn, sem: make(chan struct{}, muxServerInflight)}
-	defer cs.wg.Wait()
-	defer conn.Close()
-	var rbuf []byte // request frame buffer, reused across requests
-	for {
-		req, err := wire.ReadFrameInto(conn, rbuf)
-		if err != nil {
-			if !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.EOF) {
-				// Normal client disconnects arrive as EOF; anything else is
-				// worth a log line but never a crash.
-				s.logIfUnexpected(err)
-			}
-			return
-		}
-		rbuf = req[:0]
-		if err := s.serveFrame(cs, req); err != nil {
-			s.logIfUnexpected(err)
-			return
-		}
-	}
-}
-
-// muxServerInflight bounds concurrently dispatched requests per connection;
-// when full, the read loop blocks, pushing backpressure onto the client's
-// own in-flight bound.
-const muxServerInflight = 64
-
-// connState is one connection's async-dispatch bookkeeping: the write mutex
-// all response frames serialize on, the handler semaphore, and the
-// WaitGroup serveConn drains on teardown.
-type connState struct {
-	conn net.Conn
-	wmu  sync.Mutex
-	wg   sync.WaitGroup
-	sem  chan struct{}
-}
-
-// serveFrame serves one request frame: header decode, admission, then
-// dispatch on a handler goroutine. req aliases the read loop's reusable
-// buffer, so batch ids are decoded (and any other body copied) before the
-// handler starts. A shed request is answered synchronously from the read
-// loop and never occupies a dispatch slot. A non-nil error — a frame too
-// short to carry a request ID, or a failed write — closes the connection.
-func (s *Server) serveFrame(cs *connState, req []byte) error {
-	h, body, err := decodeRequestHeader(req, time.Now())
-	if errors.Is(err, errShortHeader) {
-		return err
-	}
-	if err != nil {
-		msg := err.Error()
-		return s.writeControlFrame(cs, h.id, func(e *buffer) { encodeErrorResponseInto(e, msg) })
-	}
-	admitted := false
-	if g := s.gate; g != nil && gatedOp(h.op) {
-		ok, after := g.Admit(time.Now())
-		if !ok {
-			atomic.AddInt64(&s.shedCount, 1)
-			return s.writeControlFrame(cs, h.id, func(e *buffer) { encodeRetryAfterResponseInto(e, after) })
-		}
-		admitted = true
-	}
-	if h.op == opGetBatch || h.op == opPeerGetBatch {
+// handle starts one request on a handler goroutine (transport.Handler).
+// Batch ids are decoded into a pooled scratch here, on the read loop,
+// because body aliases the loop's reusable buffer; any other body is
+// copied.
+func (s *Server) handle(c *transport.Conn, h transport.Header, body []byte) {
+	if h.Op == opGetBatch || h.Op == opPeerGetBatch {
 		sc, derr := decodeScratch(body)
-		s.acquireMuxSlot(cs, admitted)
-		go func() {
-			defer s.releaseMuxSlot(cs, admitted)
-			if err := s.serveVecDecoded(cs, h, sc, derr); err != nil {
-				s.logIfUnexpected(err)
-			}
-		}()
-		return nil
+		go s.serveBatch(c, h, sc, derr)
+		return
 	}
-	bodyCopy := append([]byte(nil), body...)
-	s.acquireMuxSlot(cs, admitted)
-	go func() {
-		defer s.releaseMuxSlot(cs, admitted)
-		if err := s.writeControlFrame(cs, h.id, func(e *buffer) { s.dispatch(h.op, bodyCopy, e) }); err != nil {
-			s.logIfUnexpected(err)
-		}
-	}()
-	return nil
+	go s.serveControl(c, h, append([]byte(nil), body...))
 }
 
-// acquireMuxSlot takes a per-connection dispatch slot, feeding the time
-// spent blocked on the full semaphore — the server's standing queue delay —
-// to the admission gate's CoDel window and the admission_wait histogram.
-func (s *Server) acquireMuxSlot(cs *connState, admitted bool) {
-	measure := admitted || s.obs.histsOn()
-	var t0 time.Time
-	if measure {
-		t0 = time.Now()
+func (s *Server) serveBatch(c *transport.Conn, h transport.Header, sc *serveScratch, derr error) {
+	defer c.Done(h)
+	if err := s.serveVecDecoded(c, h, sc, derr); err != nil {
+		s.logIfUnexpected(err)
 	}
-	cs.sem <- struct{}{}
-	if measure {
-		now := time.Now()
-		wait := now.Sub(t0)
-		if admitted {
-			s.gate.Observe(now, wait)
-		}
-		s.obs.admissionWait.Record(wait)
-	}
-	cs.wg.Add(1)
-	atomic.AddInt64(&s.muxInflight, 1)
 }
 
-func (s *Server) releaseMuxSlot(cs *connState, admitted bool) {
-	if admitted {
-		s.gate.Done()
+func (s *Server) serveControl(c *transport.Conn, h transport.Header, body []byte) {
+	defer c.Done(h)
+	err := c.Reply(h.ID, func(e *wire.Buffer) { s.dispatch(h.Op, body, e) })
+	if err != nil {
+		s.logIfUnexpected(err)
 	}
-	atomic.AddInt64(&s.muxInflight, -1)
-	<-cs.sem
-	cs.wg.Done()
 }
 
 // MuxInflight reports the number of requests currently being served across
 // all connections (gauge).
-func (s *Server) MuxInflight() int64 { return atomic.LoadInt64(&s.muxInflight) }
+func (s *Server) MuxInflight() int64 { return s.tr.Inflight() }
 
 // SetAdmission installs the adaptive admission gate (nil = admit
 // everything). Must be called before Serve. The gate's state ladder drives
@@ -425,7 +251,7 @@ func (s *Server) MuxInflight() int64 { return atomic.LoadInt64(&s.muxInflight) }
 // work — substitution scans stop and the prefetch pool pauses — and only
 // the Shed state rejects foreground requests; Normal restores both.
 func (s *Server) SetAdmission(g *overload.Gate) {
-	s.gate = g
+	s.tr.Gate = g
 	if g == nil {
 		return
 	}
@@ -443,12 +269,12 @@ func (s *Server) SetAdmission(g *overload.Gate) {
 }
 
 // Admission exposes the installed gate (nil when admission is unbounded).
-func (s *Server) Admission() *overload.Gate { return s.gate }
+func (s *Server) Admission() *overload.Gate { return s.tr.Gate }
 
 // OverloadCounters reports how many requests the server shed at admission
 // and how many it dropped for an expired deadline budget.
 func (s *Server) OverloadCounters() (shed, expired int64) {
-	return atomic.LoadInt64(&s.shedCount), atomic.LoadInt64(&s.expiredCount)
+	return s.tr.Shed(), atomic.LoadInt64(&s.expiredCount)
 }
 
 // gatedOp reports whether the admission gate applies to a request. Health
@@ -456,21 +282,6 @@ func (s *Server) OverloadCounters() (shed, expired int64) {
 // be able to see an overloaded server.
 func gatedOp(op byte) bool {
 	return op != opPing && op != opStats
-}
-
-// writeControlFrame writes a response built by fill after the echoed
-// request ID: control-op answers, shed rejections and header errors.
-func (s *Server) writeControlFrame(cs *connState, id uint32, fill func(e *buffer)) error {
-	wb := wire.GetBuffer()
-	e := buffer{Buffer: *wb}
-	e.u32(id)
-	fill(&e)
-	wb.B = e.B // appends may have grown past the pooled backing array
-	cs.wmu.Lock()
-	err := writeFrame(cs.conn, wb.B)
-	cs.wmu.Unlock()
-	wire.PutBuffer(wb)
-	return err
 }
 
 func (s *Server) logIfUnexpected(err error) {
@@ -486,21 +297,21 @@ func (s *Server) logIfUnexpected(err error) {
 // which take the vectored path in serve_vec.go) and appends its status and
 // body to e. Protocol errors are answered, never fatal. body is the
 // handler's own copy.
-func (s *Server) dispatch(op byte, body []byte, e *buffer) {
-	d := newReader(body)
+func (s *Server) dispatch(op byte, body []byte, e *wire.Buffer) {
+	d := wire.NewReader(body)
 	switch op {
 	case opUpdateImportance:
 		items, err := decodeUpdateImportanceRequest(d)
 		if err != nil {
-			encodeErrorResponseInto(e, err.Error())
+			transport.AppendError(e, err.Error())
 			return
 		}
 		s.policyMu.Lock()
 		s.cache.InstallHList(sampling.NewHList(items))
 		s.policyMu.Unlock()
-		e.u8(statusOK)
+		e.U8(statusOK)
 	case opBeginEpoch:
-		_ = d.u32() // epoch number: accepted for symmetry/logging
+		_ = d.U32() // epoch number: accepted for symmetry/logging
 		s.policyMu.Lock()
 		s.cache.StartEpoch(s.now())
 		// Settle the prefetch-outcome ledger: pending prefetches the
@@ -509,7 +320,7 @@ func (s *Server) dispatch(op byte, body []byte, e *buffer) {
 		epoch := s.cache.Epoch()
 		s.policyMu.Unlock()
 		s.journal.Add(obs.EventEpoch, s.journalNode(), epoch-1, epoch, "epoch boundary")
-		e.u8(statusOK)
+		e.U8(statusOK)
 	case opEpochPlan:
 		// Clairvoyant epoch boundary: cross the boundary exactly like
 		// opBeginEpoch, then hand the policy engine the next epoch's known
@@ -518,7 +329,7 @@ func (s *Server) dispatch(op byte, body []byte, e *buffer) {
 		// first-access order for the planner to pre-place.
 		_, ids, err := decodeEpochPlanRequest(d)
 		if err != nil {
-			encodeErrorResponseInto(e, err.Error())
+			transport.AppendError(e, err.Error())
 			return
 		}
 		s.policyMu.Lock()
@@ -539,19 +350,19 @@ func (s *Server) dispatch(op byte, body []byte, e *buffer) {
 			// not know whether planning is on.
 			s.journal.Add(obs.EventEpoch, s.journalNode(), epoch-1, epoch, "epoch boundary")
 		}
-		e.u8(statusOK)
+		e.U8(statusOK)
 	case opPlanPreplace:
 		ids, err := decodeGetBatchRequest(d)
 		if err != nil {
-			encodeErrorResponseInto(e, err.Error())
+			transport.AppendError(e, err.Error())
 			return
 		}
 		var accepted int
 		if s.plan != nil {
 			accepted = s.plan.acceptRemote(ids)
 		}
-		e.u8(statusOK)
-		e.u32(uint32(accepted))
+		e.U8(statusOK)
+		e.U32(uint32(accepted))
 	case opStats:
 		s.policyMu.Lock()
 		st := s.cache.Stats()
@@ -567,9 +378,9 @@ func (s *Server) dispatch(op byte, body []byte, e *buffer) {
 		s.policyMu.Unlock()
 		encodeStatsResponseInto(e, out)
 	case opPing:
-		e.u8(statusOK)
+		e.U8(statusOK)
 	default:
-		encodeErrorResponseInto(e, fmt.Sprintf("rpc: unknown opcode %d", op))
+		transport.AppendError(e, fmt.Sprintf("rpc: unknown opcode %d", op))
 	}
 }
 
@@ -740,7 +551,7 @@ func (s *Server) dispatchMiss(j missJob) {
 	s.missHelperN.Add(-1)
 	select {
 	case s.missJobs <- j:
-	case <-s.closed: // idle helpers are exiting
+	case <-s.tr.Closed(): // idle helpers are exiting
 		j.f.resolve(j.k)
 		j.f.wg.Done()
 	}
@@ -755,7 +566,7 @@ func (s *Server) missHelper(j missJob) {
 		j.f.wg.Done()
 		select {
 		case j = <-s.missJobs:
-		case <-s.closed:
+		case <-s.tr.Closed():
 			return
 		}
 	}

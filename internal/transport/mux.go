@@ -1,8 +1,8 @@
-package rpc
+package transport
 
 // This file is the client transport: one TCP connection carries many
 // requests at once. Every request frame carries a u32 request ID in its
-// fixed header (protocol.go), and the connection splits into
+// fixed header (header.go), and the connection splits into
 //
 //   - a writer path: any request goroutine may send, serialized only for
 //     the duration of one frame write (wmu), and
@@ -16,7 +16,7 @@ package rpc
 //
 // # Channel discipline (lock ordering appendix)
 //
-// muxSession.mu (pending map) and muxSession.wmu (frame writes) are both
+// session.mu (pending map) and session.wmu (frame writes) are both
 // leaf locks: neither is ever held across network I/O of the OTHER path —
 // wmu is held across exactly one WriteFrame, mu across map access only.
 // The demux reader never takes wmu; writers never read. Result channels
@@ -52,11 +52,11 @@ type muxResult struct {
 // still receive a racing delivery, so it is dropped, never pooled.
 var muxChanPool = sync.Pool{New: func() interface{} { return make(chan muxResult, 1) }}
 
-// muxSession is one multiplexed connection generation. A broken session is
+// session is one multiplexed connection generation. A broken session is
 // never repaired: the owning Client discards it and dials a fresh one (the
 // generation-based redial in client.go), so every field except the pending
 // map is immutable after construction.
-type muxSession struct {
+type session struct {
 	conn net.Conn
 
 	// wmu serializes frame writes (the "writer path"). Held across exactly
@@ -77,10 +77,10 @@ type muxSession struct {
 	inflight chan struct{}
 }
 
-// newMuxSession starts the demux reader on conn. inflightCap <= 0 means
+// newSession starts the demux reader on conn. inflightCap <= 0 means
 // unbounded.
-func newMuxSession(conn net.Conn, inflightCap int) *muxSession {
-	m := &muxSession{
+func newSession(conn net.Conn, inflightCap int) *session {
+	m := &session{
 		conn:    conn,
 		pending: make(map[uint32]chan muxResult),
 		done:    make(chan struct{}),
@@ -104,7 +104,7 @@ func newMuxSession(conn net.Conn, inflightCap int) *muxSession {
 // late delivery is dropped with the abandoned channel) and the session
 // stays healthy for its other callers — unlike a conn.SetDeadline, which
 // would fail every pipelined request on the connection.
-func (m *muxSession) doOwned(req []byte, deadline time.Time) ([]byte, *wire.Buffer, error) {
+func (m *session) doOwned(req []byte, deadline time.Time) ([]byte, *wire.Buffer, error) {
 	if m.inflight != nil {
 		m.inflight <- struct{}{}
 		defer func() { <-m.inflight }()
@@ -122,13 +122,13 @@ func (m *muxSession) doOwned(req []byte, deadline time.Time) ([]byte, *wire.Buff
 	m.pending[id] = ch
 	m.mu.Unlock()
 
-	stampRequestID(req, id)
+	stampID(req, id)
 	m.wmu.Lock()
 	err := wire.WriteFrame(m.conn, req)
 	m.wmu.Unlock()
 	if err != nil {
 		m.forget(id)
-		return nil, nil, fmt.Errorf("rpc: mux send: %w", err)
+		return nil, nil, fmt.Errorf("transport: mux send: %w", err)
 	}
 	if !deadline.IsZero() {
 		timer := time.NewTimer(time.Until(deadline))
@@ -141,7 +141,7 @@ func (m *muxSession) doOwned(req []byte, deadline time.Time) ([]byte, *wire.Buff
 			// The reader may still deliver into the (buffered) channel; the
 			// abandoned channel is dropped, never pooled (see muxChanPool).
 			m.forget(id)
-			return nil, nil, fmt.Errorf("rpc: mux call: %w", errCallTimeout)
+			return nil, nil, fmt.Errorf("transport: mux call: %w", errCallTimeout)
 		}
 	}
 	res := <-ch
@@ -154,7 +154,7 @@ func (m *muxSession) doOwned(req []byte, deadline time.Time) ([]byte, *wire.Buff
 // forget retires a request ID whose frame never made it out. The reader may
 // have raced a delivery into the (buffered) channel; that result is simply
 // dropped with the channel.
-func (m *muxSession) forget(id uint32) {
+func (m *session) forget(id uint32) {
 	m.mu.Lock()
 	delete(m.pending, id)
 	m.mu.Unlock()
@@ -163,7 +163,7 @@ func (m *muxSession) forget(id uint32) {
 // readLoop is the demux reader: the only goroutine that ever reads the
 // connection. It exits on the first transport or protocol error, failing
 // every pending caller.
-func (m *muxSession) readLoop() {
+func (m *session) readLoop() {
 	defer close(m.done)
 	for {
 		// Read each frame into a pooled buffer: the steady-state hot path
@@ -174,12 +174,12 @@ func (m *muxSession) readLoop() {
 		e := wire.GetBuffer()
 		frame, err := wire.ReadFrameInto(m.conn, e.B[:cap(e.B)])
 		if err != nil {
-			m.fail(fmt.Errorf("rpc: mux receive: %w", err))
+			m.fail(fmt.Errorf("transport: mux receive: %w", err))
 			return
 		}
 		e.B = frame
-		if len(frame) < respHeaderLen+1 {
-			m.fail(fmt.Errorf("rpc: mux: malformed response frame (%d bytes)", len(frame)))
+		if len(frame) < RespHeaderLen+1 {
+			m.fail(fmt.Errorf("transport: mux: malformed response frame (%d bytes)", len(frame)))
 			return
 		}
 		id := binary.BigEndian.Uint32(frame)
@@ -188,7 +188,7 @@ func (m *muxSession) readLoop() {
 		delete(m.pending, id)
 		m.mu.Unlock()
 		if ch != nil {
-			ch <- muxResult{resp: frame[respHeaderLen:], owner: e}
+			ch <- muxResult{resp: frame[RespHeaderLen:], owner: e}
 		}
 		// An unknown ID is a response to a request we already forgot
 		// (write raced the failure path); drop it and keep reading.
@@ -197,7 +197,7 @@ func (m *muxSession) readLoop() {
 
 // fail marks the session dead, delivers err to every pending caller, and
 // closes the connection so the writer path errors fast too.
-func (m *muxSession) fail(err error) {
+func (m *session) fail(err error) {
 	m.mu.Lock()
 	if m.err == nil {
 		m.err = err
@@ -212,7 +212,7 @@ func (m *muxSession) fail(err error) {
 }
 
 // broken reports whether the session has failed.
-func (m *muxSession) broken() bool {
+func (m *session) broken() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.err != nil
@@ -220,7 +220,7 @@ func (m *muxSession) broken() bool {
 
 // close tears the session down (idempotent) and waits for the demux reader
 // to exit, so Close leaves no goroutine behind.
-func (m *muxSession) close() {
+func (m *session) close() {
 	m.conn.Close()
 	<-m.done
 }
